@@ -28,42 +28,60 @@ use pels_netsim::stats::TimeSeries;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Directory where experiment outputs are written.
+/// The workspace root, anchored via this crate's `CARGO_MANIFEST_DIR` so
+/// the answer does not depend on the process working directory; `None`
+/// when the source tree is gone (e.g. an installed binary).
+fn workspace_root() -> Option<PathBuf> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).ancestors().nth(2)?;
+    root.is_dir().then(|| root.to_path_buf())
+}
+
+/// Directory where experiment outputs are written, created if needed.
 ///
 /// Resolution order:
 ///
-/// 1. `$PELS_RESULTS_DIR`, created if needed — for CI and scripted runs
-///    that want outputs somewhere else entirely;
-/// 2. `<workspace root>/results`, anchored via this crate's
-///    `CARGO_MANIFEST_DIR` so the answer does not depend on the process
-///    working directory (binaries used to silently scatter `results/`
-///    wherever they were launched from);
-/// 3. `./results` as a last resort when the source tree is gone
-///    (e.g. an installed binary).
-pub fn results_dir() -> PathBuf {
-    if let Some(dir) = std::env::var_os("PELS_RESULTS_DIR") {
-        let p = PathBuf::from(dir);
-        let _ = fs::create_dir_all(&p);
-        return p;
-    }
-    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
-    if let Some(root) = manifest.ancestors().nth(2) {
-        if root.is_dir() {
-            let p = root.join("results");
-            let _ = fs::create_dir_all(&p);
-            if p.is_dir() {
-                return p;
-            }
-        }
-    }
-    let p = PathBuf::from("results");
+/// 1. `dir`, when the caller names one (the `pels` CLI passes
+///    `$PELS_RESULTS_DIR`; tests pass a scratch directory);
+/// 2. `<workspace root>/results` (binaries used to silently scatter
+///    `results/` wherever they were launched from);
+/// 3. `./results` as a last resort when the source tree is gone.
+pub fn results_dir_in(dir: Option<&Path>) -> PathBuf {
+    let p = match dir {
+        Some(d) => d.to_path_buf(),
+        None => workspace_root().map_or_else(|| PathBuf::from("results"), |r| r.join("results")),
+    };
     let _ = fs::create_dir_all(&p);
     p
 }
 
-/// Writes `content` to `results/<name>` and reports the path on stdout.
+/// [`results_dir_in`] with `$PELS_RESULTS_DIR`: for binaries' entry points,
+/// which read the environment once and nowhere else.
+pub fn results_dir() -> PathBuf {
+    results_dir_in(std::env::var_os("PELS_RESULTS_DIR").as_deref().map(Path::new))
+}
+
+/// Directory where `BENCH_*.json` baselines are written: `dir` when the
+/// caller names one (created if needed; the CLI passes `$PELS_BENCH_DIR`),
+/// otherwise the workspace root, otherwise the working directory.
+pub fn bench_dir_in(dir: Option<&Path>) -> PathBuf {
+    match dir {
+        Some(d) => {
+            let _ = fs::create_dir_all(d);
+            d.to_path_buf()
+        }
+        None => workspace_root().unwrap_or_else(|| PathBuf::from(".")),
+    }
+}
+
+/// Writes `content` to `results/<name>` ([`results_dir`]) and reports the
+/// path on stdout.
 pub fn write_result(name: &str, content: &str) {
-    let path = results_dir().join(name);
+    write_result_in(&results_dir(), name, content);
+}
+
+/// Writes `content` to `<dir>/<name>` and reports the path on stdout.
+pub fn write_result_in(dir: &Path, name: &str, content: &str) {
+    let path = dir.join(name);
     match fs::write(&path, content) {
         Ok(()) => println!("[written {}]", path.display()),
         Err(e) => eprintln!("[could not write {}: {e}]", path.display()),
@@ -148,23 +166,18 @@ mod tests {
         assert_eq!(fmt(1.23456, 2), "1.23");
     }
 
-    /// One test covers both resolution branches: env-var mutation is
-    /// process-global, so splitting these would race under the parallel
-    /// test runner.
     #[test]
     fn results_dir_is_cwd_independent_and_overridable() {
-        std::env::remove_var("PELS_RESULTS_DIR");
-        let d = results_dir();
+        let d = results_dir_in(None);
         assert!(d.is_dir());
         assert!(d.ends_with("results"));
         // Anchored at the workspace root, not the process CWD.
-        assert!(d.parent().unwrap().join("Cargo.toml").is_file());
+        assert_eq!(d.parent(), Some(bench_dir_in(None).as_path()));
+        assert!(bench_dir_in(None).join("Cargo.toml").is_file());
 
         let tmp = std::env::temp_dir().join("pels_bench_results_test");
-        std::env::set_var("PELS_RESULTS_DIR", &tmp);
-        let overridden = results_dir();
-        std::env::remove_var("PELS_RESULTS_DIR");
-        assert_eq!(overridden, tmp);
-        assert!(tmp.is_dir());
+        assert_eq!(results_dir_in(Some(&tmp)), tmp);
+        assert_eq!(bench_dir_in(Some(&tmp.join("bench"))), tmp.join("bench"));
+        assert!(tmp.join("bench").is_dir());
     }
 }

@@ -26,25 +26,23 @@
 //! indistinguishable from an 8-core run). Rev 4 makes worker accounting
 //! honest: every row records the `effective_workers` actually driven
 //! (requested workers clamped to both the host's parallelism and the
-//! shard count), its synchronization `mode` (`deterministic` or
-//! `relaxed`), and a `report_digest` plus the `serial_digest` of the same
+//! shard count), its synchronization `mode` (always `deterministic`),
+//! and a `report_digest` plus the `serial_digest` of the same
 //! configuration run single-threaded — so "parallel speedup with
 //! identical results" is a checkable claim, not a caption.
 //! [`validate_json`] rejects earlier revs, rows claiming more effective
 //! workers than the host had (or than were requested, or than shards
-//! exist), and deterministic rows whose digest differs from their serial
-//! digest.
+//! exist), and rows whose digest differs from their serial digest.
 
 use pels_core::parallel::ParallelScenario;
 use pels_core::scenario::{lemma6_kbps, wideband_chained_config, wideband_scaled_config};
-use pels_netsim::shard::ExecMode;
 use pels_netsim::time::SimTime;
 use pels_telemetry::Telemetry;
 use pels_topo::scenario::TopoScenario;
 use pels_topo::spec::{GeneratorSpec, TopoSpec};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Schema tag embedded in every report.
@@ -130,9 +128,6 @@ pub struct ScaleBenchConfig {
     pub duration_s: f64,
     /// Target FGS-layer loss for the wideband operating point.
     pub target_fgs_loss: f64,
-    /// Run multi-worker rows in [`ExecMode::Relaxed`] (ring exchange, no
-    /// bit-identity guarantee) instead of the deterministic barrier merge.
-    pub relaxed: bool,
     /// Telemetry handle; per-phase wall times are recorded under
     /// `bench.scale.n<N>.w<W>.<phase>_s` when enabled.
     pub telemetry: Telemetry,
@@ -146,7 +141,6 @@ impl Default for ScaleBenchConfig {
             topology: ScaleTopology::default(),
             duration_s: 10.0,
             target_fgs_loss: 0.10,
-            relaxed: false,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -175,8 +169,8 @@ pub struct ScaleBenchRow {
     /// denominator — a 1-core container can request 8 workers but never
     /// effectively run more than 1.
     pub effective_workers: usize,
-    /// Synchronization mode the row ran under (`deterministic` or
-    /// `relaxed`).
+    /// Synchronization mode the row ran under: always `deterministic`
+    /// (the column is kept so rev-4 documents stay valid).
     pub mode: String,
     /// Topology family the row ran on (`chained` / `shared` / `fattree` /
     /// `random`).
@@ -216,8 +210,8 @@ pub struct ScaleBenchRow {
     /// FNV-1a digest of this row's serialized end-of-run report.
     pub report_digest: String,
     /// Digest of the same configuration run single-threaded in
-    /// deterministic mode. Deterministic rows must match `report_digest`
-    /// byte for byte; relaxed rows record it as evidence either way.
+    /// deterministic mode. Every row must match `report_digest` byte for
+    /// byte.
     pub serial_digest: String,
 }
 
@@ -255,7 +249,7 @@ pub fn run_scale(cfg: &ScaleBenchConfig) -> ScaleBenchReport {
             row.serial_digest = match serial_digests.get(&n) {
                 Some(d) => d.clone(),
                 None => {
-                    let d = if row.effective_workers == 1 && row.mode == "deterministic" {
+                    let d = if row.effective_workers == 1 {
                         row.report_digest.clone()
                     } else {
                         serial_digest_run(n, cfg)
@@ -266,8 +260,6 @@ pub fn run_scale(cfg: &ScaleBenchConfig) -> ScaleBenchReport {
             };
             let digest_col = if row.report_digest == row.serial_digest {
                 "digest=serial"
-            } else if row.mode == "relaxed" {
-                "digest≠serial (relaxed)"
             } else {
                 "digest MISMATCH"
             };
@@ -351,9 +343,6 @@ fn run_row(n: usize, workers: usize, host: usize, cfg: &ScaleBenchConfig) -> Sca
     // Requested workers are recorded verbatim in the row; the simulator is
     // driven at what the host can actually deliver.
     s.set_workers(workers.min(host).max(1));
-    if cfg.relaxed {
-        s.sim.set_mode(ExecMode::Relaxed);
-    }
     let n_shards = s.n_shards();
     let effective_workers = s.sim.effective_workers();
     let build_s = t0.elapsed().as_secs_f64();
@@ -383,7 +372,7 @@ fn run_row(n: usize, workers: usize, host: usize, cfg: &ScaleBenchConfig) -> Sca
         n_flows: n,
         workers,
         effective_workers,
-        mode: mode_label(cfg).to_string(),
+        mode: MODE.to_string(),
         topology: cfg.topology.label().to_string(),
         n_shards,
         events,
@@ -404,14 +393,8 @@ fn run_row(n: usize, workers: usize, host: usize, cfg: &ScaleBenchConfig) -> Sca
     }
 }
 
-/// The `mode` column value for rows produced under `cfg`.
-fn mode_label(cfg: &ScaleBenchConfig) -> &'static str {
-    if cfg.relaxed {
-        "relaxed"
-    } else {
-        "deterministic"
-    }
-}
+/// The `mode` column value of every row.
+const MODE: &str = "deterministic";
 
 /// One row on a generated multi-bottleneck topology ([`pels_topo`]): the
 /// same performance columns, plus the per-bottleneck max-min deviation in
@@ -426,9 +409,6 @@ fn run_generated_row(
     let t0 = Instant::now();
     let mut s = TopoScenario::build(spec);
     s.set_workers(workers.min(host).max(1));
-    if cfg.relaxed {
-        s.sim.set_mode(ExecMode::Relaxed);
-    }
     let n_shards = s.n_shards();
     let effective_workers = s.sim.effective_workers();
     let build_s = t0.elapsed().as_secs_f64();
@@ -455,7 +435,7 @@ fn run_generated_row(
         n_flows: n,
         workers,
         effective_workers,
-        mode: mode_label(cfg).to_string(),
+        mode: MODE.to_string(),
         topology: cfg.topology.label().to_string(),
         n_shards,
         events: report.events,
@@ -476,22 +456,10 @@ fn run_generated_row(
     }
 }
 
-/// Where `BENCH_scale.json` is written: `$PELS_BENCH_DIR` when set
-/// (created if needed), otherwise the workspace root — anchored via this
-/// crate's `CARGO_MANIFEST_DIR` like [`crate::results_dir`], so the
-/// baseline file lands in a predictable place regardless of the launch
-/// directory.
-pub fn default_output_path() -> PathBuf {
-    if let Some(dir) = std::env::var_os("PELS_BENCH_DIR") {
-        let p = PathBuf::from(dir);
-        let _ = std::fs::create_dir_all(&p);
-        return p.join("BENCH_scale.json");
-    }
-    let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    match manifest.ancestors().nth(2) {
-        Some(root) if root.is_dir() => root.join("BENCH_scale.json"),
-        _ => PathBuf::from("BENCH_scale.json"),
-    }
+/// Where `BENCH_scale.json` is written: in `dir` when given, otherwise at
+/// the workspace root ([`crate::bench_dir_in`]).
+pub fn output_path(dir: Option<&Path>) -> PathBuf {
+    crate::bench_dir_in(dir).join("BENCH_scale.json")
 }
 
 /// Peak resident set size of this process in bytes, from Linux
@@ -523,10 +491,10 @@ pub fn peak_rss_bytes() -> u64 {
 ///   `workers`, the report's `host_parallelism`, or the row's `n_shards`
 ///   — a row claiming more effective workers than the host had is the
 ///   exact lie this schema revision exists to catch;
-/// - `mode` is `deterministic` or `relaxed`;
+/// - `mode` is `deterministic`;
 /// - both digests are well-formed 16-hex-digit strings, and
-///   `deterministic` rows must have `report_digest == serial_digest`
-///   (byte-identical to the single-threaded run).
+///   `report_digest == serial_digest` (byte-identical to the
+///   single-threaded run).
 ///
 /// Returns the parsed report for further inspection.
 ///
@@ -579,16 +547,16 @@ pub fn validate_json(text: &str) -> Result<ScaleBenchReport, String> {
                 row.effective_workers, row.n_shards
             ));
         }
-        if row.mode != "deterministic" && row.mode != "relaxed" {
+        if row.mode != MODE {
             return Err(format!("{tag}: unknown mode `{}`", row.mode));
         }
         let hex16 = |d: &str| d.len() == 16 && d.bytes().all(|b| b.is_ascii_hexdigit());
         if !hex16(&row.report_digest) || !hex16(&row.serial_digest) {
             return Err(format!("{tag}: malformed report/serial digest"));
         }
-        if row.mode == "deterministic" && row.report_digest != row.serial_digest {
+        if row.report_digest != row.serial_digest {
             return Err(format!(
-                "{tag}: deterministic row diverges from the serial run \
+                "{tag}: row diverges from the serial run \
                  (report digest {} vs serial {})",
                 row.report_digest, row.serial_digest
             ));
@@ -800,10 +768,13 @@ mod tests {
             assert!(validate_json(&json).unwrap_err().contains("shards"));
         }
 
-        let mut bad_mode = good;
-        bad_mode.rows[0].mode = "optimistic".into();
-        let json = serde_json::to_string(&bad_mode).unwrap();
-        assert!(validate_json(&json).unwrap_err().contains("unknown mode"));
+        // `relaxed` rows came from an executor that no longer exists.
+        for mode in ["optimistic", "relaxed"] {
+            let mut bad_mode = good.clone();
+            bad_mode.rows[0].mode = mode.into();
+            let json = serde_json::to_string(&bad_mode).unwrap();
+            assert!(validate_json(&json).unwrap_err().contains("unknown mode"), "{mode}");
+        }
     }
 
     #[test]
@@ -826,26 +797,6 @@ mod tests {
         malformed.rows[0].serial_digest = "nope".into();
         let json = serde_json::to_string(&malformed).unwrap();
         assert!(validate_json(&json).unwrap_err().contains("malformed"));
-    }
-
-    #[test]
-    fn relaxed_rows_validate_without_digest_equality() {
-        let cfg = ScaleBenchConfig {
-            counts: vec![2],
-            workers: vec![2],
-            relaxed: true,
-            duration_s: 0.5,
-            ..Default::default()
-        };
-        let report = run_scale(&cfg);
-        let json = serde_json::to_string(&report).unwrap();
-        let parsed = validate_json(&json).unwrap();
-        let row = &parsed.rows[0];
-        assert_eq!(row.mode, "relaxed");
-        // The serial reference comes from a dedicated single-thread run and
-        // is recorded even when the relaxed row cannot promise to match it.
-        assert_eq!(row.serial_digest.len(), 16);
-        assert!(row.effective_workers <= report.host_parallelism);
     }
 
     #[test]

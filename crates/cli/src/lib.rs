@@ -47,6 +47,7 @@ use pels_core::scenario::{pels_flows, to_best_effort, ScenarioConfig};
 use pels_core::source::SourceMode;
 use pels_netsim::time::SimTime;
 use std::collections::HashMap;
+use std::path::PathBuf;
 
 /// A parsed command line.
 #[derive(Debug, Clone)]
@@ -64,11 +65,6 @@ pub enum Command {
         /// Worker threads for the parallel engine (results are identical
         /// at every value; this only sizes the thread pool).
         workers: usize,
-        /// Run shards in relaxed mode: ring-buffered cross-shard delivery
-        /// instead of the barrier-merged deterministic order. Faster on
-        /// multi-core hosts, but reports may differ from serial in FIFO
-        /// tie-break order.
-        relaxed: bool,
     },
     /// Run a generated multi-bottleneck topology ([`pels_topo`]) on the
     /// sharded engine and report per-bottleneck max-min validation.
@@ -85,8 +81,6 @@ pub enum Command {
         /// Worker threads for the sharded engine (results are identical
         /// at every value; this only sizes the thread pool).
         workers: usize,
-        /// Relaxed cross-shard delivery (see [`Command::Run::relaxed`]).
-        relaxed: bool,
     },
     /// Sweep flow counts over one generated topology family.
     SweepTopo {
@@ -100,8 +94,6 @@ pub enum Command {
         json: bool,
         /// Worker threads for the sharded engine.
         workers: usize,
-        /// Relaxed cross-shard delivery (see [`Command::Run::relaxed`]).
-        relaxed: bool,
     },
     /// Evaluate the Section 3 closed forms.
     Model {
@@ -146,9 +138,6 @@ pub enum Command {
         duration_s: f64,
         /// Validate an existing report instead of running one.
         check: Option<String>,
-        /// Run rows in relaxed mode (rows record `mode: "relaxed"` and are
-        /// exempt from the serial-digest equality gate).
-        relaxed: bool,
     },
     /// Run the fault-injection matrix and report invariant verdicts.
     Chaos {
@@ -321,10 +310,7 @@ fn flag_map(args: &[String]) -> Result<HashMap<String, String>, ParseArgsError> 
             return Err(ParseArgsError(format!("unexpected argument `{a}`")));
         };
         // Boolean flags take no value.
-        if matches!(
-            name,
-            "json" | "mem" | "short" | "wire" | "relaxed" | "no-batch" | "telemetry-per-flow"
-        ) {
+        if matches!(name, "json" | "mem" | "short" | "wire" | "no-batch" | "telemetry-per-flow") {
             map.insert(name.to_string(), "true".to_string());
             continue;
         }
@@ -408,7 +394,6 @@ fn parse_run_topo(map: &HashMap<String, String>) -> Result<Command, ParseArgsErr
         json: map.contains_key("json"),
         telemetry: map.get("telemetry").cloned(),
         workers,
-        relaxed: map.contains_key("relaxed"),
     })
 }
 
@@ -493,7 +478,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
                 json: map.contains_key("json"),
                 telemetry: map.get("telemetry").cloned(),
                 workers,
-                relaxed: map.contains_key("relaxed"),
             })
         }
         "model" => {
@@ -544,7 +528,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
                     duration_s,
                     json: map.contains_key("json"),
                     workers,
-                    relaxed: map.contains_key("relaxed"),
                 });
             }
             let topology = match map.get("topology") {
@@ -615,7 +598,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
                 topology,
                 duration_s,
                 check: map.get("check").cloned(),
-                relaxed: map.contains_key("relaxed"),
             })
         }
         "chaos" => {
@@ -779,12 +761,48 @@ fn open_telemetry(path: Option<&str>) -> Result<pels_telemetry::Telemetry, Strin
     }
 }
 
-/// Executes a parsed command, writing human-readable output to `out`.
+/// Where commands write their files. `main` reads it from the environment
+/// once; library callers and tests name their own directories, so no
+/// command reads the environment itself.
+#[derive(Debug, Clone, Default)]
+pub struct OutputDirs {
+    /// Directory for per-run CSVs (`live.csv`, `topo_*.csv`); `None` is
+    /// the workspace `results/` ([`pels_bench::results_dir_in`]).
+    pub results: Option<PathBuf>,
+    /// Directory for `BENCH_scale.json` and `BENCH_wire.json`; `None` is
+    /// the workspace root ([`pels_bench::bench_dir_in`]).
+    pub bench: Option<PathBuf>,
+}
+
+impl OutputDirs {
+    /// `$PELS_RESULTS_DIR` and `$PELS_BENCH_DIR`, each `None` when unset.
+    pub fn from_env() -> Self {
+        OutputDirs {
+            results: std::env::var_os("PELS_RESULTS_DIR").map(PathBuf::from),
+            bench: std::env::var_os("PELS_BENCH_DIR").map(PathBuf::from),
+        }
+    }
+
+    fn write_result(&self, name: &str, content: &str) {
+        pels_bench::write_result_in(
+            &pels_bench::results_dir_in(self.results.as_deref()),
+            name,
+            content,
+        );
+    }
+}
+
+/// Executes a parsed command, writing human-readable output to `out` and
+/// any files under `dirs`.
 ///
 /// # Errors
 ///
 /// Returns an error string suitable for printing to stderr.
-pub fn execute(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String> {
+pub fn execute(
+    cmd: Command,
+    dirs: &OutputDirs,
+    out: &mut impl std::io::Write,
+) -> Result<(), String> {
     let w =
         |out: &mut dyn std::io::Write, s: String| writeln!(out, "{s}").map_err(|e| e.to_string());
     match cmd {
@@ -865,10 +883,8 @@ pub fn execute(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String
             }
             Ok(())
         }
-        Command::Bench { counts, workers, topology, duration_s, check, relaxed } => {
-            use pels_bench::scalebench::{
-                default_output_path, run_scale, validate_json, ScaleBenchConfig,
-            };
+        Command::Bench { counts, workers, topology, duration_s, check } => {
+            use pels_bench::scalebench::{output_path, run_scale, validate_json, ScaleBenchConfig};
             if let Some(path) = check {
                 let text = std::fs::read_to_string(&path)
                     .map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -882,20 +898,13 @@ pub fn execute(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String
                 out,
                 format!(
                     "scale bench: counts {counts:?}, workers {workers:?}, {topology:?} \
-                     topology, {duration_s} simulated s per row{}",
-                    if relaxed { ", relaxed mode" } else { "" }
+                     topology, {duration_s} simulated s per row"
                 ),
             )?;
-            let cfg = ScaleBenchConfig {
-                counts,
-                workers,
-                topology,
-                duration_s,
-                relaxed,
-                ..Default::default()
-            };
+            let cfg =
+                ScaleBenchConfig { counts, workers, topology, duration_s, ..Default::default() };
             let report = run_scale(&cfg);
-            let path = default_output_path();
+            let path = output_path(dirs.bench.as_deref());
             let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
             std::fs::write(&path, &json)
                 .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
@@ -1010,7 +1019,7 @@ pub fn execute(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String
                 ..LiveConfig::default()
             };
             let outcome = run_live(&cfg).map_err(|e| format!("live run failed: {e}"))?;
-            pels_bench::write_result("live.csv", &to_csv(&outcome));
+            dirs.write_result("live.csv", &to_csv(&outcome));
             if json {
                 let j = serde_json::to_string_pretty(&outcome.report).map_err(|e| e.to_string())?;
                 return w(out, j);
@@ -1214,9 +1223,7 @@ pub fn execute(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String
             )
         }
         Command::BenchWire { counts, duration_s, check } => {
-            use pels_bench::wirebench::{
-                default_output_path, run_wire, validate_json, WireBenchConfig,
-            };
+            use pels_bench::wirebench::{output_path, run_wire, validate_json, WireBenchConfig};
             if let Some(path) = check {
                 let text = std::fs::read_to_string(&path)
                     .map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -1232,7 +1239,7 @@ pub fn execute(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String
             )?;
             let cfg = WireBenchConfig { counts, duration_s, ..Default::default() };
             let report = run_wire(&cfg)?;
-            let path = default_output_path();
+            let path = output_path(dirs.bench.as_deref());
             let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
             std::fs::write(&path, &json)
                 .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
@@ -1288,14 +1295,11 @@ pub fn execute(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String
             }
             Ok(())
         }
-        Command::RunTopo { spec, duration_s, json, telemetry, workers, relaxed } => {
+        Command::RunTopo { spec, duration_s, json, telemetry, workers } => {
             use pels_topo::scenario::{to_csv, TopoScenario};
             let tel = open_telemetry(telemetry.as_deref())?;
             let mut s = TopoScenario::try_build(*spec).map_err(|e| e.to_string())?;
             s.set_workers(workers);
-            if relaxed {
-                s.sim.set_mode(pels_netsim::shard::ExecMode::Relaxed);
-            }
             if tel.is_enabled() {
                 s.attach_telemetry(&tel);
                 let mut t = 0.0;
@@ -1308,7 +1312,7 @@ pub fn execute(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String
                 s.run_until(SimTime::from_secs_f64(duration_s));
             }
             let report = s.report();
-            pels_bench::write_result(&format!("topo_{}.csv", report.family), &to_csv(&report));
+            dirs.write_result(&format!("topo_{}.csv", report.family), &to_csv(&report));
             if json {
                 let j = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
                 return w(out, j);
@@ -1365,7 +1369,7 @@ pub fn execute(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String
                 format!("max |deviation| across bottlenecks: {:.1}%", report.max_abs_deviation_pct),
             )
         }
-        Command::SweepTopo { counts, spec, duration_s, json, workers, relaxed } => {
+        Command::SweepTopo { counts, spec, duration_s, json, workers } => {
             use pels_topo::scenario::TopoScenario;
             let mut reports = Vec::with_capacity(counts.len());
             for &n in &counts {
@@ -1373,9 +1377,6 @@ pub fn execute(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String
                 s.flows = Some(n);
                 let mut sc = TopoScenario::try_build(*s).map_err(|e| e.to_string())?;
                 sc.set_workers(workers);
-                if relaxed {
-                    sc.sim.set_mode(pels_netsim::shard::ExecMode::Relaxed);
-                }
                 sc.run_until(SimTime::from_secs_f64(duration_s));
                 reports.push(sc.report());
             }
@@ -1395,16 +1396,12 @@ pub fn execute(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String
             }
             Ok(())
         }
-        Command::Run { config, duration_s, json, telemetry, workers, relaxed } => {
+        Command::Run { config, duration_s, json, telemetry, workers } => {
             let tel = open_telemetry(telemetry.as_deref())?;
             // The parallel engine: the partition is fixed by the topology,
-            // so --workers only changes wall clock, never the report —
-            // unless --relaxed trades that guarantee for throughput.
+            // so --workers only changes wall clock, never the report.
             let mut s = pels_core::parallel::ParallelScenario::build(*config);
             s.set_workers(workers);
-            if relaxed {
-                s.sim.set_mode(pels_netsim::shard::ExecMode::Relaxed);
-            }
             if tel.is_enabled() {
                 s.attach_telemetry(&tel);
                 // Flush a cumulative snapshot roughly once per simulated
@@ -1462,15 +1459,15 @@ pub fn usage() -> String {
      \n\
      USAGE:\n\
        pels run   [--flows N] [--duration SECS] [--mode pels|besteffort|fifo]\n\
-                  [--seed S] [--workers N] [--relaxed] [--config FILE.json]\n\
+                  [--seed S] [--workers N] [--config FILE.json]\n\
                   [--topo-spec FILE.json | --topology fattree:k=4,flows=16]\n\
                   [--telemetry FILE.jsonl] [--json]\n\
        pels sweep [--flows-list 1,2,4,8] [--duration SECS] [--workers N]\n\
                   [--topology proportional|fixed|wideband|SHORTHAND]\n\
-                  [--topo-spec FILE.json] [--relaxed] [--json]\n\
+                  [--topo-spec FILE.json] [--json]\n\
        pels bench [--counts 1,8,64,256,512,1024] [--workers 1,8]\n\
                   [--topology chained|shared|fattree|random]\n\
-                  [--duration SECS] [--short] [--relaxed]\n\
+                  [--duration SECS] [--short]\n\
                   [--check FILE]              # writes BENCH_scale.json\n\
        pels model --p LOSS --h PACKETS\n\
        pels gamma --p LOSS [--p-thr T] [--sigma S] [--steps K]\n\
@@ -1496,8 +1493,6 @@ pub fn usage() -> String {
      --workers N defaults to the machine's available parallelism (nproc)\n\
      and is clamped to min(nproc, shards) at run time; for `bench` the\n\
      default sweep is `1,<nproc>` (just `1` on one core).\n\
-     --relaxed trades byte-identical-to-serial reports for throughput\n\
-     (ring-buffered cross-shard delivery; FIFO tie-breaks may differ).\n\
      Topology shorthands: parkinglot:segments=3,cross=1  fattree:k=4\n\
      waxman:routers=16  — common keys flows, seed, tcp, budget (kb/s)."
         .to_string()
@@ -1511,17 +1506,27 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
+    /// Every output directory set to `dir`.
+    fn dirs_in(dir: &std::path::Path) -> OutputDirs {
+        OutputDirs { results: Some(dir.to_path_buf()), bench: Some(dir.to_path_buf()) }
+    }
+
+    /// Runs `cmd` with its outputs under the system temp dir, so a test
+    /// never writes into the workspace.
+    fn exec(cmd: Command, out: &mut Vec<u8>) -> Result<(), String> {
+        execute(cmd, &dirs_in(&std::env::temp_dir().join("pels_cli_test_outputs")), out)
+    }
+
     #[test]
     fn parses_run_defaults() {
         let cmd = parse_args(&args("run")).unwrap();
         match cmd {
-            Command::Run { config, duration_s, json, telemetry, workers, relaxed } => {
+            Command::Run { config, duration_s, json, telemetry, workers } => {
                 assert_eq!(config.flows.len(), 2);
                 assert_eq!(duration_s, 30.0);
                 assert!(!json);
                 assert!(telemetry.is_none());
                 assert!(workers >= 1);
-                assert!(!relaxed);
             }
             other => panic!("{other:?}"),
         }
@@ -1566,7 +1571,7 @@ mod tests {
     fn model_command_prints_closed_forms() {
         let cmd = parse_args(&args("model --p 0.1 --h 100")).unwrap();
         let mut buf = Vec::new();
-        execute(cmd, &mut buf).unwrap();
+        exec(cmd, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         // E[Y](0.1, 100) = 8.9998 -> "9.000"; U = 0.09999 -> "0.1000".
         assert!(text.contains("9.000"), "{text}");
@@ -1578,7 +1583,7 @@ mod tests {
     fn gamma_command_converges() {
         let cmd = parse_args(&args("gamma --p 0.3 --steps 60")).unwrap();
         let mut buf = Vec::new();
-        execute(cmd, &mut buf).unwrap();
+        exec(cmd, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.trim_end().ends_with("0.400000"), "{text}");
     }
@@ -1588,7 +1593,7 @@ mod tests {
         let cmd = parse_args(&args("sweep --flows-list 1,2 --duration 2")).unwrap();
         assert!(matches!(cmd, Command::Sweep { topology: SweepTopology::Proportional, .. }));
         let mut buf = Vec::new();
-        execute(cmd, &mut buf).unwrap();
+        exec(cmd, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("1 flows"), "{text}");
         assert!(text.contains("2 flows"), "{text}");
@@ -1612,11 +1617,10 @@ mod tests {
     fn parses_bench_flags() {
         let cmd = parse_args(&args("bench")).unwrap();
         match cmd {
-            Command::Bench { counts, workers, topology, duration_s, check, relaxed } => {
+            Command::Bench { counts, workers, topology, duration_s, check } => {
                 assert_eq!(counts, pels_bench::scalebench::DEFAULT_COUNTS);
                 assert_eq!(duration_s, 10.0);
                 assert!(check.is_none());
-                assert!(!relaxed, "deterministic is the default");
                 assert_eq!(workers[0], 1, "first workers group is the serial baseline");
                 assert_eq!(topology, pels_bench::scalebench::ScaleTopology::Chained);
             }
@@ -1657,11 +1661,10 @@ mod tests {
     #[test]
     fn bench_command_writes_and_checks_a_report() {
         let dir = std::env::temp_dir().join("pels_cli_bench_test");
-        std::env::set_var("PELS_BENCH_DIR", &dir);
+        let dirs = dirs_in(&dir);
         let cmd = parse_args(&args("bench --counts 1 --duration 0.5")).unwrap();
         let mut buf = Vec::new();
-        let res = execute(cmd, &mut buf);
-        std::env::remove_var("PELS_BENCH_DIR");
+        let res = execute(cmd, &dirs, &mut buf);
         res.unwrap();
         let path = dir.join("BENCH_scale.json");
         let text = String::from_utf8(buf).unwrap();
@@ -1670,30 +1673,29 @@ mod tests {
 
         let cmd = parse_args(&args(&format!("bench --check {}", path.display()))).unwrap();
         let mut buf = Vec::new();
-        execute(cmd, &mut buf).unwrap();
+        exec(cmd, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("valid pels-bench-scale/4 report"), "{text}");
 
         let bad = dir.join("bad.json");
         std::fs::write(&bad, "{}").unwrap();
         let cmd = parse_args(&args(&format!("bench --check {}", bad.display()))).unwrap();
-        assert!(execute(cmd, &mut Vec::new()).is_err());
+        assert!(exec(cmd, &mut Vec::new()).is_err());
         let cmd = Command::Bench {
             counts: vec![1],
             workers: vec![1],
             topology: pels_bench::scalebench::ScaleTopology::Chained,
             duration_s: 1.0,
             check: Some("/nonexistent".into()),
-            relaxed: false,
         };
-        assert!(execute(cmd, &mut Vec::new()).is_err());
+        assert!(exec(cmd, &mut Vec::new()).is_err());
     }
 
     #[test]
     fn trace_command_emits_loadable_csv() {
         let cmd = parse_args(&args("trace --frames 10 --cv 0.2 --seed 3")).unwrap();
         let mut buf = Vec::new();
-        execute(cmd, &mut buf).unwrap();
+        exec(cmd, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         let trace = pels_fgs::frame::VideoTrace::from_csv(&text).unwrap();
         assert_eq!(trace.len(), 10);
@@ -1706,7 +1708,7 @@ mod tests {
             assert!(matches!(parse_args(&args(spelling)).unwrap(), Command::Version));
         }
         let mut buf = Vec::new();
-        execute(Command::Version, &mut buf).unwrap();
+        exec(Command::Version, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains(env!("CARGO_PKG_VERSION")), "{text}");
         assert!(text.contains("commit "), "{text}");
@@ -1719,7 +1721,7 @@ mod tests {
     #[test]
     fn config_template_roundtrips() {
         let mut buf = Vec::new();
-        execute(Command::ConfigTemplate, &mut buf).unwrap();
+        exec(Command::ConfigTemplate, &mut buf).unwrap();
         let cfg: ScenarioConfig = serde_json::from_slice(&buf).unwrap();
         assert_eq!(cfg.flows.len(), 2);
     }
@@ -1728,7 +1730,7 @@ mod tests {
     fn run_command_executes_small_scenario() {
         let cmd = parse_args(&args("run --flows 1 --duration 2 --json")).unwrap();
         let mut buf = Vec::new();
-        execute(cmd, &mut buf).unwrap();
+        exec(cmd, &mut buf).unwrap();
         let v: serde_json::Value = serde_json::from_slice(&buf).unwrap();
         assert_eq!(v["flows"].as_array().unwrap().len(), 1);
     }
@@ -1765,7 +1767,7 @@ mod tests {
         // An explicit duration too small for the wire schedule is caught at
         // execution, not parse (parse only enforces the shared 5 s floor).
         let cmd = parse_args(&args("chaos --wire --duration 6")).unwrap();
-        let err = execute(cmd, &mut Vec::new()).unwrap_err();
+        let err = exec(cmd, &mut Vec::new()).unwrap_err();
         assert!(err.contains("bad wire chaos schedule"), "{err}");
     }
 
@@ -1773,7 +1775,7 @@ mod tests {
     fn chaos_command_runs_matrix() {
         let cmd = parse_args(&args("chaos --seed 3 --duration 12 --json")).unwrap();
         let mut buf = Vec::new();
-        execute(cmd, &mut buf).unwrap();
+        exec(cmd, &mut buf).unwrap();
         let v: serde_json::Value = serde_json::from_slice(&buf).unwrap();
         assert_eq!(v["cases"].as_array().unwrap().len(), 6);
         assert_eq!(v["all_ok"], serde_json::Value::Bool(true));
@@ -1814,7 +1816,7 @@ mod tests {
     fn wire_chaos_command_runs_matrix() {
         let cmd = parse_args(&args("chaos --short --json")).unwrap();
         let mut buf = Vec::new();
-        execute(cmd, &mut buf).unwrap();
+        exec(cmd, &mut buf).unwrap();
         let v: serde_json::Value = serde_json::from_slice(&buf).unwrap();
         assert_eq!(v["cases"].as_array().unwrap().len(), 6);
         assert_eq!(v["all_ok"], serde_json::Value::Bool(true));
@@ -1829,13 +1831,12 @@ mod tests {
         let mut spec = pels_wire::LiveFaults::default();
         spec.source.tx.drop = 0.2;
         std::fs::write(&path, serde_json::to_string(&spec).unwrap()).unwrap();
-        std::env::set_var("PELS_RESULTS_DIR", &dir);
+        let dirs = dirs_in(&dir);
         let cmd =
             parse_args(&args(&format!("live --duration 2 --mem --faults {}", path.display())))
                 .unwrap();
         let mut buf = Vec::new();
-        let res = execute(cmd, &mut buf);
-        std::env::remove_var("PELS_RESULTS_DIR");
+        let res = execute(cmd, &dirs, &mut buf);
         res.unwrap();
         let text = String::from_utf8(buf).unwrap();
         let fault_line = text.lines().find(|l| l.trim_start().starts_with("faults:"));
@@ -1848,18 +1849,17 @@ mod tests {
         let cmd =
             parse_args(&args(&format!("live --duration 2 --mem --faults {}", path.display())))
                 .unwrap();
-        let err = execute(cmd, &mut Vec::new()).unwrap_err();
+        let err = exec(cmd, &mut Vec::new()).unwrap_err();
         assert!(err.contains("bad fault schedule"), "{err}");
     }
 
     #[test]
     fn live_command_streams_in_memory_and_writes_csv() {
         let dir = std::env::temp_dir().join("pels_cli_live_test");
-        std::env::set_var("PELS_RESULTS_DIR", &dir);
+        let dirs = dirs_in(&dir);
         let cmd = parse_args(&args("live --duration 1 --mem --json")).unwrap();
         let mut buf = Vec::new();
-        let res = execute(cmd, &mut buf);
-        std::env::remove_var("PELS_RESULTS_DIR");
+        let res = execute(cmd, &dirs, &mut buf);
         res.unwrap();
         let v: serde_json::Value = serde_json::from_slice(&buf).unwrap();
         let flows = v["flows"].as_array().unwrap();
@@ -1884,7 +1884,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         let mut buf = Vec::new();
-        execute(cmd, &mut buf).unwrap();
+        exec(cmd, &mut buf).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let lines = pels_telemetry::parse_snapshot_lines(&text).unwrap();
         assert_eq!(lines.len(), 3, "one cumulative snapshot per simulated second");
@@ -1895,7 +1895,7 @@ mod tests {
 
         let cmd = parse_args(&args(&format!("metrics {}", path.display()))).unwrap();
         let mut buf = Vec::new();
-        execute(cmd, &mut buf).unwrap();
+        exec(cmd, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("3 snapshot(s)"), "{text}");
         assert!(text.contains("counters:"), "{text}");
@@ -1907,7 +1907,7 @@ mod tests {
     fn live_with_telemetry_streams_snapshots() {
         let dir = std::env::temp_dir().join("pels_cli_tel_live");
         std::fs::create_dir_all(&dir).unwrap();
-        std::env::set_var("PELS_RESULTS_DIR", &dir);
+        let dirs = dirs_in(&dir);
         let path = dir.join("live.jsonl");
         let cmd = parse_args(&args(&format!(
             "live --duration 1 --mem --json --telemetry {}",
@@ -1915,8 +1915,7 @@ mod tests {
         )))
         .unwrap();
         let mut buf = Vec::new();
-        let res = execute(cmd, &mut buf);
-        std::env::remove_var("PELS_RESULTS_DIR");
+        let res = execute(cmd, &dirs, &mut buf);
         res.unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let lines = pels_telemetry::parse_snapshot_lines(&text).unwrap();
@@ -1930,17 +1929,17 @@ mod tests {
         assert!(parse_args(&args("metrics")).is_err());
         assert!(parse_args(&args("metrics a.jsonl b.jsonl")).is_err());
         let cmd = Command::Metrics { path: "/nonexistent/pels.jsonl".into() };
-        assert!(execute(cmd, &mut Vec::new()).is_err());
+        assert!(exec(cmd, &mut Vec::new()).is_err());
         let dir = std::env::temp_dir().join("pels_cli_tel_bad");
         std::fs::create_dir_all(&dir).unwrap();
         let bad = dir.join("bad.jsonl");
         std::fs::write(&bad, "not json\n").unwrap();
         let cmd = parse_args(&args(&format!("metrics {}", bad.display()))).unwrap();
-        assert!(execute(cmd, &mut Vec::new()).is_err());
+        assert!(exec(cmd, &mut Vec::new()).is_err());
         let empty = dir.join("empty.jsonl");
         std::fs::write(&empty, "").unwrap();
         let cmd = parse_args(&args(&format!("metrics {}", empty.display()))).unwrap();
-        assert!(execute(cmd, &mut Vec::new()).is_err());
+        assert!(exec(cmd, &mut Vec::new()).is_err());
     }
 
     #[test]
@@ -1964,7 +1963,7 @@ mod tests {
         assert!(parse_args(&args("run --topology nonsense:x=1")).is_err());
         // Generator invariants (odd fat-tree arity) surface at build time.
         let cmd = parse_args(&args("run --topology fattree:k=3 --duration 1")).unwrap();
-        assert!(execute(cmd, &mut Vec::new()).is_err());
+        assert!(exec(cmd, &mut Vec::new()).is_err());
         assert!(parse_args(&args("run --topo-spec /nonexistent.json")).is_err());
     }
 
@@ -1993,14 +1992,13 @@ mod tests {
     #[test]
     fn topo_run_executes_and_writes_the_results_csv() {
         let dir = std::env::temp_dir().join("pels_cli_topo_run");
-        std::env::set_var("PELS_RESULTS_DIR", &dir);
+        let dirs = dirs_in(&dir);
         let cmd = parse_args(&args(
             "run --topology parkinglot:segments=2,cross=1,flows=3 --duration 2 --json",
         ))
         .unwrap();
         let mut buf = Vec::new();
-        let res = execute(cmd, &mut buf);
-        std::env::remove_var("PELS_RESULTS_DIR");
+        let res = execute(cmd, &dirs, &mut buf);
         res.unwrap();
         let v: serde_json::Value = serde_json::from_slice(&buf).unwrap();
         assert_eq!(v["family"].as_str(), Some("parkinglot"));
@@ -2017,7 +2015,7 @@ mod tests {
                 .unwrap();
         assert!(matches!(cmd, Command::SweepTopo { ref counts, .. } if counts == &vec![1, 2]));
         let mut buf = Vec::new();
-        execute(cmd, &mut buf).unwrap();
+        exec(cmd, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("1 flows on waxman"), "{text}");
         assert!(text.contains("2 flows on waxman"), "{text}");
@@ -2145,7 +2143,7 @@ mod tests {
     fn serve_command_executes_an_idle_server() {
         let cmd = parse_args(&args("serve --listen 127.0.0.1:0 --duration 0.3 --json")).unwrap();
         let mut buf = Vec::new();
-        execute(cmd, &mut buf).unwrap();
+        exec(cmd, &mut buf).unwrap();
         let v: serde_json::Value = serde_json::from_slice(&buf).unwrap();
         assert_eq!(v["peak_flows"].as_u64(), Some(0), "no clients registered");
         assert_eq!(v["leaked_flows"].as_u64(), Some(0));
@@ -2161,7 +2159,7 @@ mod tests {
         ))
         .unwrap();
         let mut buf = Vec::new();
-        execute(cmd, &mut buf).unwrap();
+        exec(cmd, &mut buf).unwrap();
         let v: serde_json::Value = serde_json::from_slice(&buf).unwrap();
         assert_eq!(v["flows_sustained"].as_u64(), Some(0), "{v}");
         assert_eq!(v["data_received"].as_u64(), Some(0), "{v}");
@@ -2170,11 +2168,10 @@ mod tests {
     #[test]
     fn bench_wire_command_writes_and_checks_a_report() {
         let dir = std::env::temp_dir().join("pels_cli_bench_wire_test");
-        std::env::set_var("PELS_BENCH_DIR", &dir);
+        let dirs = dirs_in(&dir);
         let cmd = parse_args(&args("bench --wire --counts 2 --duration 1")).unwrap();
         let mut buf = Vec::new();
-        let res = execute(cmd, &mut buf);
-        std::env::remove_var("PELS_BENCH_DIR");
+        let res = execute(cmd, &dirs, &mut buf);
         res.unwrap();
         let path = dir.join("BENCH_wire.json");
         let text = String::from_utf8(buf).unwrap();
@@ -2184,14 +2181,14 @@ mod tests {
 
         let cmd = parse_args(&args(&format!("bench --wire --check {}", path.display()))).unwrap();
         let mut buf = Vec::new();
-        execute(cmd, &mut buf).unwrap();
+        exec(cmd, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("valid pels-bench-wire/1 report"), "{text}");
 
         let bad = dir.join("bad.json");
         std::fs::write(&bad, "{}").unwrap();
         let cmd = parse_args(&args(&format!("bench --wire --check {}", bad.display()))).unwrap();
-        assert!(execute(cmd, &mut Vec::new()).is_err());
+        assert!(exec(cmd, &mut Vec::new()).is_err());
     }
 
     #[test]

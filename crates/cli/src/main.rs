@@ -9,7 +9,8 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if let Err(e) = pels_cli::execute(cmd, &mut std::io::stdout()) {
+    let dirs = pels_cli::OutputDirs::from_env();
+    if let Err(e) = pels_cli::execute(cmd, &dirs, &mut std::io::stdout()) {
         eprintln!("error: {e}");
         std::process::exit(1);
     }

@@ -49,34 +49,24 @@ use crate::faults::{FaultSchedule, GLOBAL};
 use crate::packet::AgentId;
 use crate::sim::{Agent, AgentLookup, Simulator};
 use crate::time::{SimDuration, SimTime};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Barrier};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Bounded depth of each worker-pair ring in relaxed mode, in *window
-/// batches*. The two-barrier window protocol bounds in-flight batches per
-/// ring to 2 (a sender can run at most one window ahead of a receiver's
-/// drain), so 4 gives 2× headroom and `send` never blocks in steady state.
-const RING_DEPTH: usize = 4;
-
-/// How a multi-shard [`ShardedSimulator`] synchronizes its shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Spawn-per-window workers plus a global barrier merge of all
-    /// cross-shard events in canonical `(time, src shard, seq)` order.
-    /// Byte-identical to the serial simulator at every worker count — the
-    /// correctness oracle for [`ExecMode::Relaxed`].
-    #[default]
-    Deterministic,
-    /// Persistent worker threads exchanging cross-shard events through
-    /// bounded per-worker-pair rings, injected in per-ring arrival order
-    /// with no global sort. Same conservative-window safety guarantees
-    /// (no event is ever injected into a shard's past), but FIFO
-    /// tie-break sequence numbers at the destination may differ between
-    /// runs when a fast worker's batch lands one window early — so
-    /// results are *not* guaranteed bit-identical to deterministic mode.
-    Relaxed,
-}
+/// Default [`ShardedSimulator::set_fanout_min_events`]: a window is sent to
+/// the worker pool only if the pool is expected to take at least this many
+/// events off the window's critical path (the events of every group but
+/// the busiest); otherwise it runs in the calling thread.
+///
+/// `crates/bench/benches/shard_window.rs` measures the crossover on a
+/// balanced cut pair, where half of a window's events are off the critical
+/// path, at ~150 ns per event on a 2-vCPU x86-64 host. Handing a window to
+/// the pool costs ~19 µs of wall time, so the pool first beats the calling
+/// thread at 512 events per window (256 off the path). At 2048 per window
+/// (1024 off the path) it cuts a window's wall time by a third, the
+/// hand-off being ~6% of the window's work. The threshold sits 4× above
+/// break-even so that windows near it, where one slow wake-up on a busy
+/// host turns the gain into a loss, stay in the calling thread.
+pub const FANOUT_MIN_EVENTS: u64 = 1024;
 
 /// Derives the RNG seed for stream `index` from the run seed via
 /// SplitMix64 — the standard stream-splitting construction: statistically
@@ -357,10 +347,54 @@ pub struct ShardedSimulator {
     lookahead: Option<SimDuration>,
     now: SimTime,
     workers: usize,
-    mode: ExecMode,
+    cost: CostModel,
     barriers: u64,
     cross_events: u64,
     threads_spawned: u64,
+}
+
+/// The executor's per-window cost model. Its only input is the last
+/// positive-length window: its length and the events its groups
+/// processed. Both are functions of the partition and the seed, never of
+/// wall time, so the in-thread/pool decision, and with it
+/// [`ShardedSimulator::threads_spawned`], is the same on every run.
+#[derive(Debug, Clone, Copy)]
+struct CostModel {
+    min_events: u64,
+    /// `(events off the critical path, length in ns)` of the last
+    /// positive-length window.
+    last: Option<(u64, u64)>,
+}
+
+impl CostModel {
+    /// Whether a window of `len` goes to the pool: whether the events the
+    /// pool is expected to take off its critical path, the last window's
+    /// off-path event rate times `len`, reach the threshold. Before the
+    /// first window there is no rate. A lookahead-bounded window
+    /// (`bounded`) then expects none, so it runs in the calling thread and
+    /// its successors have a rate; a component partition's window spans
+    /// the whole `run_until` call, so it is expected to pay for the pool.
+    fn fan_out(&self, len: SimDuration, bounded: bool) -> bool {
+        let expected = match self.last {
+            Some((events, last_len)) => {
+                u128::from(events) * u128::from(len.as_nanos()) / u128::from(last_len)
+            }
+            None if bounded => 0,
+            None => u128::MAX,
+        };
+        expected >= u128::from(self.min_events)
+    }
+
+    /// Records a window of `len` whose groups went from `before[g]` to
+    /// `after[g]` processed events. Its events off the critical path are
+    /// those of every group but the busiest.
+    fn record(&mut self, before: &[u64], after: &[u64], len: SimDuration) {
+        if !len.is_zero() {
+            let window = before.iter().zip(after).map(|(b, a)| a - b);
+            let off_path = window.clone().sum::<u64>() - window.max().unwrap_or(0);
+            self.last = Some((off_path, len.as_nanos()));
+        }
+    }
 }
 
 impl ShardedSimulator {
@@ -414,7 +448,7 @@ impl ShardedSimulator {
             lookahead: partition.lookahead,
             now: SimTime::ZERO,
             workers: 1,
-            mode: ExecMode::Deterministic,
+            cost: CostModel { min_events: FANOUT_MIN_EVENTS, last: None },
             barriers: 0,
             cross_events: 0,
             threads_spawned: 0,
@@ -422,9 +456,8 @@ impl ShardedSimulator {
     }
 
     /// Sets the number of worker threads used for multi-shard windows.
-    /// In [`ExecMode::Deterministic`] this affects wall-clock time only —
-    /// the event schedule is fixed by the partition, so results are
-    /// byte-identical at every worker count.
+    /// This affects wall-clock time only: the event schedule is fixed by
+    /// the partition, so results are byte-identical at every worker count.
     pub fn set_workers(&mut self, workers: usize) {
         self.workers = workers.max(1);
     }
@@ -441,19 +474,19 @@ impl ShardedSimulator {
         self.workers.min(self.shards.len()).max(1)
     }
 
-    /// Selects the synchronization mode for multi-shard execution.
-    pub fn set_mode(&mut self, mode: ExecMode) {
-        self.mode = mode;
+    /// Sets the cost-model threshold: a window runs on the worker pool only
+    /// if the pool is expected to take at least `events` events off its
+    /// critical path, and in the calling thread otherwise (default
+    /// [`FANOUT_MIN_EVENTS`]). `0` sends every window to the pool. Results
+    /// do not depend on it.
+    pub fn set_fanout_min_events(&mut self, events: u64) {
+        self.cost.min_events = events;
     }
 
-    /// The configured synchronization mode.
-    pub fn mode(&self) -> ExecMode {
-        self.mode
-    }
-
-    /// Total worker threads spawned so far. Stays 0 while
-    /// [`ShardedSimulator::effective_workers`] is 1: single-worker windows
-    /// run in the calling thread.
+    /// Total worker threads spawned so far: at most `effective_workers()`
+    /// per [`ShardedSimulator::run_until`] call, and none while every
+    /// window runs in the calling thread (one effective worker, or windows
+    /// below the cost-model threshold).
     pub fn threads_spawned(&self) -> u64 {
         self.threads_spawned
     }
@@ -561,34 +594,62 @@ impl ShardedSimulator {
     /// Runs until simulated time reaches `deadline` (events at exactly
     /// `deadline` are processed), advancing shards in conservative windows
     /// and exchanging cross-shard events at each barrier.
+    ///
+    /// Shards are split into `effective_workers()` contiguous groups. Before
+    /// each window the cost model picks where it runs: below the threshold,
+    /// every group in the calling thread; otherwise one helper thread per
+    /// group, spawned at the call's first pooled window, parked between
+    /// windows and ended when the call returns. Which thread runs a shard
+    /// never changes what it computes.
     pub fn run_until(&mut self, deadline: SimTime) {
         if self.shards.len() == 1 {
             self.shards[0].run_until(deadline);
             self.now = deadline.max(self.now);
             return;
         }
-        if self.mode == ExecMode::Relaxed && self.effective_workers() > 1 {
-            self.run_until_relaxed(deadline);
-            return;
-        }
         let window = self.lookahead.unwrap_or(SimDuration::ZERO);
-        loop {
-            // Independent components (no lookahead) take one window to the
-            // deadline; cut partitions step by the lookahead.
-            let target = if window.is_zero() {
-                deadline
-            } else {
-                deadline.min(self.now.saturating_add(window))
-            };
-            let last = target == deadline;
-            self.run_shards_window(target, last);
-            let moved = self.exchange(target);
-            self.now = target;
-            self.barriers += 1;
-            if last && !moved {
-                break;
+        let chunk = self.shards.len().div_ceil(self.effective_workers());
+        let groups: Vec<Group<'_>> = self.shards.chunks_mut(chunk).map(Mutex::new).collect();
+        // Events processed per group: at the last barrier, and at this one.
+        let mut before: Vec<u64> = groups
+            .iter()
+            .map(|g| lock_group(g).iter().map(Simulator::events_processed).sum())
+            .collect();
+        let mut after = before.clone();
+        std::thread::scope(|scope| {
+            // Dropped on return and on unwind alike, and with it the
+            // helpers' only source of work, so they exit before the scope
+            // joins them.
+            let mut pool = Pool::default();
+            loop {
+                // Independent components (no lookahead) take one window to
+                // the deadline; cut partitions step by the lookahead.
+                let target = if window.is_zero() {
+                    deadline
+                } else {
+                    deadline.min(self.now.saturating_add(window))
+                };
+                let last = target == deadline;
+                let len = target.duration_since(self.now);
+                if groups.len() > 1 && self.cost.fan_out(len, !window.is_zero()) {
+                    self.threads_spawned += pool.run_window(scope, &groups, target, last);
+                } else {
+                    for group in &groups {
+                        run_group(group, target, last);
+                    }
+                }
+                let moved = exchange(&groups, chunk, target, &mut after);
+                self.cost.record(&before, &after, len);
+                before.copy_from_slice(&after);
+                self.cross_events += moved;
+                self.now = target;
+                self.barriers += 1;
+                if last && moved == 0 {
+                    break;
+                }
             }
-        }
+        });
+        drop(groups);
         for shard in &mut self.shards {
             shard.advance_clock_to(deadline);
         }
@@ -599,182 +660,102 @@ impl ShardedSimulator {
         let deadline = self.now + d;
         self.run_until(deadline);
     }
+}
 
-    /// Advances every shard to `end`: exclusive while windows are interior
-    /// (events at exactly `end` belong to the next window, after the
-    /// barrier merge), inclusive on the final deadline window.
-    fn run_shards_window(&mut self, end: SimTime, inclusive: bool) {
-        let workers = self.workers.min(self.shards.len()).max(1);
-        if workers == 1 {
-            for shard in &mut self.shards {
-                shard.run_window(end, inclusive);
-            }
-            return;
-        }
-        let chunk = self.shards.len().div_ceil(workers);
-        let mut spawned = 0u64;
-        std::thread::scope(|scope| {
-            for group in self.shards.chunks_mut(chunk) {
-                spawned += 1;
-                scope.spawn(move || {
-                    for shard in group {
-                        shard.run_window(end, inclusive);
-                    }
-                });
-            }
-        });
-        self.threads_spawned += spawned;
+/// A contiguous run of shards executed by one thread during a window.
+type Group<'s> = Mutex<&'s mut [Simulator]>;
+
+fn lock_group<'g, 's>(group: &'g Group<'s>) -> MutexGuard<'g, &'s mut [Simulator]> {
+    group.lock().expect("a shard panicked during a window")
+}
+
+/// Advances every shard of `group` to `end`: exclusive while windows are
+/// interior (events at exactly `end` belong to the next window, after the
+/// barrier merge), inclusive on the final deadline window.
+fn run_group(group: &Group<'_>, end: SimTime, inclusive: bool) {
+    for shard in lock_group(group).iter_mut() {
+        shard.run_window(end, inclusive);
     }
+}
 
-    /// Relaxed multi-worker execution: worker threads persist across all
-    /// windows of the run, exchanging cross-shard events through bounded
-    /// per-worker-pair rings ([`RING_DEPTH`] window batches deep).
-    ///
-    /// Per window, each worker: runs its shards to the window end, drains
-    /// their outboxes into one batch per destination worker (preserving
-    /// per-shard emission order) and sends the non-empty batches, then
-    /// crosses two reusable barriers. The continue/stop decision reads a
-    /// cumulative moved-event counter strictly between the barriers, where
-    /// no `fetch_add` can be in flight — every worker therefore reads the
-    /// same value and makes the same decision. After the second barrier
-    /// each worker drains its incoming rings in source-worker order and
-    /// injects the events into its own shards.
-    ///
-    /// Safety of early injection: a batch produced in window `w+1` by a
-    /// fast worker may land in a slow worker's window-`w` drain, but every
-    /// cross event fires at least one lookahead past its emission window,
-    /// so it is never in the receiving shard's past. Only the destination
-    /// queue's FIFO tie-break sequence assignment can differ — the
-    /// documented bit-identity trade of [`ExecMode::Relaxed`].
-    fn run_until_relaxed(&mut self, deadline: SimTime) {
-        let window = self.lookahead.unwrap_or(SimDuration::ZERO);
-        let chunk = self.shards.len().div_ceil(self.effective_workers());
-        // The last chunk can absorb the remainder, leaving fewer groups
-        // than requested workers; barriers must count actual threads.
-        let n_groups = self.shards.len().div_ceil(chunk);
-        let start_now = self.now;
-
-        // Ring matrix: rings[src][dst]; receivers regrouped per dst in
-        // src order so the drain order below is fixed.
-        let mut txs: Vec<Vec<SyncSender<Vec<CrossEvent>>>> =
-            (0..n_groups).map(|_| Vec::with_capacity(n_groups)).collect();
-        let mut rxs: Vec<Vec<Receiver<Vec<CrossEvent>>>> =
-            (0..n_groups).map(|_| Vec::with_capacity(n_groups)).collect();
-        for txs_row in &mut txs {
-            for rxs_row in &mut rxs {
-                let (tx, rx) = sync_channel(RING_DEPTH);
-                txs_row.push(tx);
-                rxs_row.push(rx);
-            }
-        }
-
-        let barrier_a = Barrier::new(n_groups);
-        let barrier_b = Barrier::new(n_groups);
-        let moved_total = AtomicU64::new(0);
-        let windows_run = AtomicU64::new(0);
-
-        std::thread::scope(|scope| {
-            let groups = self.shards.chunks_mut(chunk);
-            for (((w, group), my_txs), my_rxs) in
-                groups.enumerate().zip(txs.drain(..)).zip(rxs.drain(..))
-            {
-                let (barrier_a, barrier_b) = (&barrier_a, &barrier_b);
-                let (moved_total, windows_run) = (&moved_total, &windows_run);
-                let base = w * chunk;
-                scope.spawn(move || {
-                    let mut now = start_now;
-                    let mut prev_total = 0u64;
-                    let mut batches: Vec<Vec<CrossEvent>> =
-                        (0..my_txs.len()).map(|_| Vec::new()).collect();
-                    loop {
-                        let target = if window.is_zero() {
-                            deadline
-                        } else {
-                            deadline.min(now.saturating_add(window))
-                        };
-                        let last = target == deadline;
-                        for shard in group.iter_mut() {
-                            shard.run_window(target, last);
-                        }
-                        let mut moved = 0u64;
-                        for shard in group.iter_mut() {
-                            for ev in shard.drain_outbox() {
-                                moved += 1;
-                                let dst = (ev.dst_shard as usize / chunk).min(my_txs.len() - 1);
-                                batches[dst].push(ev);
-                            }
-                        }
-                        for (tx, batch) in my_txs.iter().zip(batches.iter_mut()) {
-                            if !batch.is_empty() {
-                                tx.send(std::mem::take(batch)).expect("receiver lives in scope");
-                            }
-                        }
-                        moved_total.fetch_add(moved, Ordering::SeqCst);
-                        barrier_a.wait();
-                        // No worker can be past its next fetch_add here:
-                        // reaching it requires passing barrier B, which
-                        // requires everyone to finish this load first.
-                        let total = moved_total.load(Ordering::SeqCst);
-                        barrier_b.wait();
-                        for rx in &my_rxs {
-                            while let Ok(batch) = rx.try_recv() {
-                                for ev in batch {
-                                    debug_assert!(
-                                        ev.time >= target,
-                                        "lookahead violation: relaxed cross event at {:?} \
-                                         before barrier {:?}",
-                                        ev.time,
-                                        target
-                                    );
-                                    group[ev.dst_shard as usize - base].inject(ev.time, ev.event);
-                                }
-                            }
-                        }
-                        now = target;
-                        if w == 0 {
-                            windows_run.fetch_add(1, Ordering::Relaxed);
-                        }
-                        if last && total == prev_total {
-                            break;
-                        }
-                        prev_total = total;
-                    }
-                    for shard in group.iter_mut() {
-                        shard.advance_clock_to(deadline);
-                    }
-                });
-            }
-        });
-
-        self.now = deadline.max(self.now);
-        self.barriers += windows_run.load(Ordering::Relaxed);
-        self.cross_events += moved_total.load(Ordering::Relaxed);
-        self.threads_spawned += n_groups as u64;
-    }
-
-    /// Drains every shard's outbox and schedules the events into their
-    /// destination queues in canonical merge order. Returns whether any
-    /// event moved.
-    fn exchange(&mut self, barrier: SimTime) -> bool {
-        let mut batch: Vec<CrossEvent> = Vec::new();
-        for shard in &mut self.shards {
+/// Drains every shard's outbox and schedules the events into their
+/// destination queues in canonical merge order. Returns the events moved,
+/// and sets `processed[g]` to the events group `g` has processed so far.
+fn exchange(groups: &[Group<'_>], chunk: usize, barrier: SimTime, processed: &mut [u64]) -> u64 {
+    let mut shards: Vec<_> = groups.iter().map(lock_group).collect();
+    let mut batch: Vec<CrossEvent> = Vec::new();
+    for (group, count) in shards.iter_mut().zip(processed.iter_mut()) {
+        *count = 0;
+        for shard in group.iter_mut() {
             batch.append(&mut shard.drain_outbox());
+            *count += shard.events_processed();
         }
-        if batch.is_empty() {
-            return false;
+    }
+    sort_cross_events(&mut batch);
+    let moved = batch.len() as u64;
+    for ev in batch {
+        debug_assert!(
+            ev.time >= barrier,
+            "lookahead violation: cross-shard event at {:?} before barrier {:?}",
+            ev.time,
+            barrier
+        );
+        let dst = ev.dst_shard as usize;
+        shards[dst / chunk][dst % chunk].inject(ev.time, ev.event);
+    }
+    moved
+}
+
+/// The helper threads of one `run_until` call, one per group, spawned at
+/// the call's first pooled window. Between windows a helper parks in a
+/// blocking channel receive, so a parked pool costs no CPU; it exits when
+/// the pool is dropped. The calling thread only waits: shard work that
+/// ran on it would leave its heap holding the run's allocations, and
+/// scenario builds after a run measured 20–35% slower that way.
+#[derive(Default)]
+struct Pool {
+    helpers: Vec<Helper>,
+}
+
+/// A helper's channels: its windows `(end, inclusive)` go out on the
+/// sender, and a `()` comes back on the receiver when it finishes each.
+type Helper = (Sender<(SimTime, bool)>, Receiver<()>);
+
+impl Pool {
+    /// Runs one window on every group and returns the helper threads this
+    /// call spawned.
+    fn run_window<'scope>(
+        &mut self,
+        scope: &'scope std::thread::Scope<'scope, '_>,
+        groups: &'scope [Group<'_>],
+        end: SimTime,
+        inclusive: bool,
+    ) -> u64 {
+        let mut spawned = 0;
+        if self.helpers.is_empty() {
+            for group in groups {
+                let (window_tx, window_rx) = channel();
+                let (done_tx, done_rx) = channel();
+                scope.spawn(move || {
+                    for (end, inclusive) in window_rx {
+                        run_group(group, end, inclusive);
+                        // A panic drops `done_tx` unsent instead, which
+                        // fails the calling thread's `recv`.
+                        let _ = done_tx.send(());
+                    }
+                });
+                self.helpers.push((window_tx, done_rx));
+                spawned += 1;
+            }
         }
-        self.cross_events += batch.len() as u64;
-        sort_cross_events(&mut batch);
-        for ev in batch {
-            debug_assert!(
-                ev.time >= barrier,
-                "lookahead violation: cross-shard event at {:?} before barrier {:?}",
-                ev.time,
-                barrier
-            );
-            self.shards[ev.dst_shard as usize].inject(ev.time, ev.event);
+        for (window, _) in &self.helpers {
+            // A helper that is gone has panicked; its `recv` reports it.
+            let _ = window.send((end, inclusive));
         }
-        true
+        for (_, done) in &self.helpers {
+            done.recv().expect("a shard panicked during a window");
+        }
+        spawned
     }
 }
 
@@ -992,118 +973,123 @@ mod tests {
     }
 
     #[test]
-    fn relaxed_mode_matches_deterministic_on_cut_pair() {
-        // Two shards over a 4 ms cut. The relaxed engine must deliver the
-        // same per-agent histories here: with one ring per direction and
-        // lockstep windows there is no cross-ring interleaving to perturb
-        // FIFO tie-breaks in this topology.
+    fn single_worker_windows_spawn_no_threads() {
         let mut g = TopologyGraph::new(2);
         g.add_link(AgentId(0), AgentId(1), ms(4));
         let p = Partition::cut(&g);
-        assert_eq!(p.n_shards, 2);
+        let mut sim = ShardedSimulator::new(11, &p, pair(5, ms(4)));
+        sim.set_workers(1);
+        sim.set_fanout_min_events(0);
+        sim.run_until(SimTime::from_secs_f64(1.0));
+        assert_eq!(sim.threads_spawned(), 0, "one worker must run in-thread");
+        assert_eq!(sim.effective_workers(), 1);
+    }
 
-        let run = |mode: ExecMode, workers: usize| {
-            let mut sim = ShardedSimulator::new(11, &p, pair(20, ms(4)));
+    /// Per-agent histories and counters of one run, for comparing dispatch
+    /// choices.
+    type Outcome = (Vec<Vec<(SimTime, u64)>>, u64, u64, u64);
+
+    fn outcome(sim: &ShardedSimulator, n_agents: u32) -> Outcome {
+        (
+            (0..n_agents).map(|i| sim.agent::<Chatter>(AgentId(i)).got.clone()).collect(),
+            sim.events_processed(),
+            sim.barriers(),
+            sim.cross_events(),
+        )
+    }
+
+    #[test]
+    fn light_cut_windows_run_in_thread_at_two_workers() {
+        let mut g = TopologyGraph::new(2);
+        g.add_link(AgentId(0), AgentId(1), ms(4));
+        let p = Partition::cut(&g);
+        let run = |workers: usize| {
+            let mut sim = ShardedSimulator::new(11, &p, pair(5, ms(4)));
             sim.set_workers(workers);
-            sim.set_mode(mode);
-            sim.run_until(SimTime::from_secs_f64(2.0));
-            (
-                sim.agent::<Chatter>(AgentId(0)).got.clone(),
-                sim.agent::<Chatter>(AgentId(1)).got.clone(),
-                sim.events_processed(),
-                sim.cross_events(),
-            )
+            sim.run_until(SimTime::from_secs_f64(1.0));
+            (outcome(&sim, 2), sim.threads_spawned())
         };
-        let oracle = run(ExecMode::Deterministic, 1);
-        assert_eq!(oracle, run(ExecMode::Relaxed, 2));
-        assert_eq!(oracle.1.len(), 20);
+        let (serial, _) = run(1);
+        let (pooled, spawned) = run(2);
+        assert_eq!(spawned, 0, "a handful of events per window never pays for the pool");
+        assert_eq!(serial, pooled);
+        assert_eq!(serial.0[1].len(), 5);
     }
 
     #[test]
-    fn relaxed_mode_handles_independent_components() {
-        // No lookahead: one window to the deadline, no cross events.
-        let mut g = TopologyGraph::new(4);
-        g.add_link(AgentId(0), AgentId(1), ms(2));
-        g.add_link(AgentId(2), AgentId(3), ms(7));
-        let p = Partition::auto(&g);
-        assert_eq!(p.n_shards, 2);
-        let agents = || -> Vec<Box<dyn Agent>> {
-            vec![
-                Box::new(Chatter { peer: AgentId(1), n: 3, delay: ms(2), got: vec![] }),
-                Box::new(Chatter { peer: AgentId(0), n: 0, delay: ms(2), got: vec![] }),
-                Box::new(Chatter { peer: AgentId(3), n: 5, delay: ms(7), got: vec![] }),
-                Box::new(Chatter { peer: AgentId(2), n: 0, delay: ms(7), got: vec![] }),
-            ]
-        };
-        let mut det = ShardedSimulator::new(9, &p, agents());
-        det.run_until(SimTime::from_secs_f64(1.0));
-        let mut rel = ShardedSimulator::new(9, &p, agents());
-        rel.set_workers(2);
-        rel.set_mode(ExecMode::Relaxed);
-        rel.run_until(SimTime::from_secs_f64(1.0));
-        assert_eq!(rel.cross_events(), 0);
-        for i in 0..4u32 {
-            assert_eq!(
-                rel.agent::<Chatter>(AgentId(i)).got,
-                det.agent::<Chatter>(AgentId(i)).got,
-                "agent {i} history differs"
-            );
-        }
-    }
-
-    #[test]
-    fn relaxed_mode_survives_worker_counts_exceeding_groups() {
-        // 4 shards, 3 workers: chunks of 2 leave only 2 groups; barriers
-        // and rings must size to the actual thread count, not the request.
+    fn heavy_component_windows_use_the_pool() {
+        // Four independent pairs, each chattering 3000 packets: every
+        // window is far above the cost-model threshold.
         let mut g = TopologyGraph::new(8);
-        for pair_idx in 0..4u32 {
-            g.add_link(AgentId(pair_idx * 2), AgentId(pair_idx * 2 + 1), ms(3));
+        for i in 0..4u32 {
+            g.add_link(AgentId(i * 2), AgentId(i * 2 + 1), ms(3));
         }
         let p = Partition::components(&g);
         assert_eq!(p.n_shards, 4);
         let agents = || -> Vec<Box<dyn Agent>> {
             (0..4u32)
-                .flat_map(|i| {
-                    vec![
+                .flat_map(|i| -> [Box<dyn Agent>; 2] {
+                    [
                         Box::new(Chatter {
                             peer: AgentId(i * 2 + 1),
-                            n: 2,
+                            n: 3000,
                             delay: ms(3),
                             got: vec![],
-                        }) as Box<dyn Agent>,
+                        }),
                         Box::new(Chatter { peer: AgentId(i * 2), n: 0, delay: ms(3), got: vec![] }),
                     ]
                 })
                 .collect()
         };
-        let mut sim = ShardedSimulator::new(5, &p, agents());
-        sim.set_workers(3);
-        sim.set_mode(ExecMode::Relaxed);
-        sim.run_until(SimTime::from_secs_f64(1.0));
-        assert_eq!(sim.threads_spawned(), 2, "2 groups of 2 shards");
-        for i in 0..4u32 {
-            assert_eq!(sim.agent::<Chatter>(AgentId(i * 2 + 1)).got.len(), 2);
+        let calls = 4;
+        let run = |workers: usize| {
+            let mut sim = ShardedSimulator::new(5, &p, agents());
+            sim.set_workers(workers);
+            for c in 1..=calls {
+                sim.run_until(SimTime::from_secs_f64(0.25 * c as f64));
+            }
+            (outcome(&sim, 8), sim.threads_spawned())
+        };
+        let (serial, none) = run(1);
+        assert_eq!(none, 0);
+        for workers in [2, 3] {
+            let (pooled, spawned) = run(workers);
+            assert!(spawned > 0, "workers={workers}: heavy windows must use the pool");
+            assert!(
+                spawned <= (workers * calls) as u64,
+                "workers={workers}: {spawned} threads for {calls} calls"
+            );
+            assert_eq!(serial, pooled, "workers={workers}");
+        }
+        assert_eq!(serial.0[1].len(), 3000);
+    }
+
+    /// Panics on its first packet.
+    struct Bomb;
+
+    impl Agent for Bomb {
+        fn on_packet(&mut self, _p: Packet, _ctx: &mut Context<'_>) {
+            panic!("shard bug");
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
         }
     }
 
     #[test]
-    fn single_worker_windows_spawn_no_threads() {
+    fn a_panic_on_a_pool_thread_propagates_instead_of_hanging() {
         let mut g = TopologyGraph::new(2);
         g.add_link(AgentId(0), AgentId(1), ms(4));
         let p = Partition::cut(&g);
-        for mode in [ExecMode::Deterministic, ExecMode::Relaxed] {
-            let mut sim = ShardedSimulator::new(11, &p, pair(5, ms(4)));
-            sim.set_workers(1);
-            sim.set_mode(mode);
-            sim.run_until(SimTime::from_secs_f64(1.0));
-            assert_eq!(sim.threads_spawned(), 0, "{mode:?} with one worker must run in-thread");
-            assert_eq!(sim.effective_workers(), 1);
-        }
-        // Multi-worker deterministic windows do spawn (and say so).
-        let mut sim = ShardedSimulator::new(11, &p, pair(5, ms(4)));
+        let agents: Vec<Box<dyn Agent>> = vec![pair(1, ms(4)).remove(0), Box::new(Bomb)];
+        let mut sim = ShardedSimulator::new(1, &p, agents);
         sim.set_workers(2);
-        sim.run_until(SimTime::from_secs_f64(1.0));
-        assert!(sim.threads_spawned() > 0);
+        sim.set_fanout_min_events(0);
+        let run = std::panic::AssertUnwindSafe(|| sim.run_until(SimTime::from_secs_f64(1.0)));
+        assert!(std::panic::catch_unwind(run).is_err());
     }
 
     #[test]

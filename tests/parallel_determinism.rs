@@ -7,13 +7,15 @@
 //! observes it: the serialized `ScenarioReport` must be byte-identical
 //! across worker counts, across repeated runs, and (for component
 //! partitions, which never exchange events) against the serial engine.
+//! The pooled-executor tests run the same checks with every window forced
+//! onto worker threads, so the code path that serves multi-worker runs is
+//! the one under test.
 
 use pels_core::parallel::ParallelScenario;
-use pels_core::scenario::{
-    chained_proportional_config, pels_flows, Scenario, ScenarioConfig, ScenarioReport,
-};
-use pels_netsim::shard::ExecMode;
+use pels_core::scenario::{chained_proportional_config, pels_flows, Scenario, ScenarioConfig};
 use pels_netsim::time::SimTime;
+use pels_topo::scenario::TopoScenario;
+use pels_topo::spec::TopoSpec;
 
 const N: usize = 32;
 const HORIZON_S: f64 = 5.0;
@@ -25,12 +27,27 @@ fn report_json(cfg: ScenarioConfig, workers: usize) -> String {
     serde_json::to_string(&s.report()).expect("report serializes")
 }
 
-fn relaxed_run(cfg: ScenarioConfig, workers: usize) -> (ScenarioReport, SimTime) {
+/// The report at `workers` with every window sent to the worker pool,
+/// and the threads that took.
+fn pooled_report_json(cfg: ScenarioConfig, workers: usize) -> (String, u64) {
     let mut s = ParallelScenario::build(cfg);
     s.set_workers(workers);
-    s.sim.set_mode(ExecMode::Relaxed);
+    s.sim.set_fanout_min_events(0);
     s.run_until(SimTime::from_secs_f64(HORIZON_S));
-    (s.report(), s.sim.now())
+    (serde_json::to_string(&s.report()).expect("report serializes"), s.sim.threads_spawned())
+}
+
+/// A generated topology's report at `workers`, every window pooled when
+/// `pooled`, and the threads that took.
+fn topo_report_json(shorthand: &str, workers: usize, pooled: bool) -> (String, u64) {
+    let spec = TopoSpec::from_shorthand(shorthand).expect("valid shorthand");
+    let mut s = TopoScenario::try_build(spec).expect("topology builds");
+    s.set_workers(workers);
+    if pooled {
+        s.sim.set_fanout_min_events(0);
+    }
+    s.run_until(SimTime::from_secs_f64(HORIZON_S));
+    (serde_json::to_string(&s.report()).expect("report serializes"), s.sim.threads_spawned())
 }
 
 /// The fixed shared dumbbell: one bottleneck, so the partitioner falls
@@ -96,8 +113,8 @@ fn chained_parallel_matches_serial_engine() {
 /// The shared dumbbell exercises the windowed executor's batched drain
 /// and cross-shard merge. Deterministic mode must still reproduce the
 /// serial engine byte for byte at every worker count — the merge order
-/// `(time, src_shard, seq)` is the oracle the relaxed path is judged
-/// against.
+/// `(time, src_shard, seq)` is what makes the thread that ran a shard
+/// irrelevant.
 #[test]
 fn shared_dumbbell_parallel_matches_serial_engine() {
     let cfg = || ScenarioConfig {
@@ -117,61 +134,54 @@ fn shared_dumbbell_parallel_matches_serial_engine() {
     }
 }
 
-/// Relaxed mode gives up bit-identity, not correctness. Whatever order
-/// the rings deliver in, the run must preserve the engine's invariants:
-/// the clock reaches the horizon monotonically, every packet is accounted
-/// for (transmitted + dropped at the bottleneck, never lost in flight),
-/// the base layer stays protected, and the final report lands within
-/// tolerance of the deterministic one.
+/// The pooled executor on real threads: every window of a chained
+/// (component), shared-dumbbell (delay cut), fat-tree and Waxman run at two
+/// workers goes to the pool, and each report must equal the
+/// single-worker report byte for byte.
 #[test]
-fn relaxed_mode_preserves_invariants_and_tracks_deterministic() {
-    let cfg = || ScenarioConfig {
+fn pooled_executor_matches_serial_on_every_family() {
+    let shared = || ScenarioConfig {
         flows: pels_flows(&[0.0; 8]),
         keep_series: false,
         ..Default::default()
     };
-    let det: ScenarioReport =
-        serde_json::from_str(&report_json(cfg(), 1)).expect("report round-trips");
-    for workers in [2, 8] {
-        let (rel, now) = relaxed_run(cfg(), workers);
-        // Monotone time: the clock reached exactly the requested horizon.
-        assert_eq!(now, SimTime::from_secs_f64(HORIZON_S), "workers={workers}");
-        // Conservation: every class transmits in relaxed mode iff it
-        // transmits deterministically, and totals match closely (the only
-        // permitted divergence is FIFO tie-break order, which cannot
-        // create or destroy packets; small count drift comes from
-        // reordered drops near queue limits).
-        let det_tx: u64 = det.bottleneck_tx_by_class.iter().sum();
-        let rel_tx: u64 = rel.bottleneck_tx_by_class.iter().sum();
-        let drift = (det_tx as f64 - rel_tx as f64).abs() / det_tx as f64;
-        assert!(drift < 0.01, "workers={workers}: tx drift {drift} (det {det_tx}, rel {rel_tx})");
-        // The paper's core invariant holds in any execution order.
-        assert_eq!(rel.green_drops, 0, "workers={workers}");
-        assert_eq!(rel.starved_flows, det.starved_flows, "workers={workers}");
-        assert_eq!(rel.flows.len(), det.flows.len());
-        // Final rates within 5% of the deterministic fixed point.
-        for (d, r) in det.flows.iter().zip(&rel.flows) {
-            let dev = (d.final_rate_kbps - r.final_rate_kbps).abs() / d.final_rate_kbps.max(1.0);
-            assert!(
-                dev < 0.05,
-                "workers={workers}: flow rate {} vs {} ({:.1}% off)",
-                d.final_rate_kbps,
-                r.final_rate_kbps,
-                dev * 100.0
-            );
-        }
+    for (name, cfg) in [("chained", chained_proportional_config(N)), ("shared", shared())] {
+        let serial = report_json(cfg.clone(), 1);
+        let (pooled, spawned) = pooled_report_json(cfg, 2);
+        assert!(spawned > 0, "{name}: the pool never ran");
+        assert_eq!(serial, pooled, "{name}: pooled at 2 workers vs 1 worker");
+    }
+    for shorthand in ["fattree:k=4,flows=8", "waxman:routers=16,flows=8"] {
+        let (serial, _) = topo_report_json(shorthand, 1, false);
+        let (pooled, spawned) = topo_report_json(shorthand, 2, true);
+        assert!(spawned > 0, "{shorthand}: the pool never ran");
+        assert_eq!(serial, pooled, "{shorthand}: pooled at 2 workers vs 1 worker");
     }
 }
 
-/// Relaxed mode on a component partition (no cross-shard events at all)
-/// has nothing to reorder — it must match the deterministic report
-/// exactly, whatever the worker count.
+/// The `pels run` dumbbell at its default two workers: the cost model must
+/// keep its ~60-event windows in the calling thread, so the run spawns at
+/// most `workers` threads per `run_until` call (not two per 5 ms window),
+/// runs the same windows and events, and reports exactly what one worker
+/// reports.
 #[test]
-fn relaxed_mode_is_exact_on_component_partitions() {
-    let det = report_json(chained_proportional_config(N), 1);
-    for workers in [2, 8] {
-        let (rel, _) = relaxed_run(chained_proportional_config(N), workers);
-        let rel_json = serde_json::to_string(&rel).expect("report serializes");
-        assert_eq!(det, rel_json, "chained relaxed: workers={workers}");
-    }
+fn default_dumbbell_at_two_workers_matches_serial_without_per_window_spawns() {
+    let cfg = || ScenarioConfig { flows: pels_flows(&[0.0; 8]), ..Default::default() };
+    let calls = 10u64;
+    let run = |workers: usize| {
+        let mut s = ParallelScenario::build(cfg());
+        s.set_workers(workers);
+        for t in 1..=calls {
+            s.run_until(SimTime::from_secs_f64(t as f64));
+        }
+        let json = serde_json::to_string(&s.report()).expect("report serializes");
+        (json, s.sim.barriers(), s.events_processed(), s.sim.threads_spawned())
+    };
+    let (serial, windows, events, _) = run(1);
+    let (report, pooled_windows, pooled_events, spawned) = run(2);
+    assert_eq!(serial, report, "dumbbell: 2 workers vs 1 worker");
+    assert_eq!(windows, pooled_windows, "window schedule changed");
+    assert_eq!(events, pooled_events, "event count changed");
+    assert!(windows > 1000, "{windows} windows: not a cut partition");
+    assert!(spawned <= 2 * calls, "{spawned} threads for {calls} run_until calls");
 }
