@@ -113,7 +113,9 @@ awk -v d="$cpu_default" -v s="$cpu_serial" 'BEGIN { exit !(d <= 1.5 * s) }' || {
 echo "== pels serve loopback smoke (256 flows, 2 s loadgen) =="
 # A real serve+loadgen pair over loopback UDP: every flow registers,
 # streams paced data, and says BYE. Gates: zero decode errors on the
-# serve socket and zero leaked flow-table entries after teardown.
+# serve socket, zero leaked flow-table entries after teardown, and no
+# more timer firings than data packets sent (flows blocked at the
+# admission mark park on the router instead of re-arming a timer).
 serve_json="$bench_dir/serve.json"
 serve_log="$bench_dir/serve.log"
 timeout 120 cargo run --release -q -p pels-cli --bin pels -- \
@@ -144,6 +146,14 @@ if serve["peak_flows"] < 256:
     problems.append(f"serve peaked at {serve['peak_flows']}/256 flows")
 if lg["data_received"] == 0:
     problems.append("loadgen received no data")
+timer_ratio = serve["timer_events"] / max(serve["data_sent"], 1)
+print(f"serve timer events per data packet: {timer_ratio:.2f} "
+      f"({serve['timer_events']} / {serve['data_sent']}); "
+      f"polls {serve['polls']} (idle {serve['idle_polls']}), "
+      f"admission parks {serve['admission_parks']}")
+if serve["timer_events"] > serve["data_sent"]:
+    problems.append(f"serve fired {serve['timer_events']} timer events for "
+                    f"{serve['data_sent']} data packets")
 if problems:
     sys.exit("serve smoke failed: " + "; ".join(problems))
 print(f"serve smoke ok: peak {serve['peak_flows']} flows, "

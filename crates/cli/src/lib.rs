@@ -1167,8 +1167,14 @@ pub fn execute(
             w(
                 out,
                 format!(
-                    "  pacing jitter p50/p99 {:.0}/{:.0} us over {} timer events",
-                    r.pacing_jitter_p50_us, r.pacing_jitter_p99_us, r.timer_events
+                    "  pacing jitter p50/p99 {:.0}/{:.0} us over {} timer events  \
+                     polls {} (idle {})  admission parks {}",
+                    r.pacing_jitter_p50_us,
+                    r.pacing_jitter_p99_us,
+                    r.timer_events,
+                    r.polls,
+                    r.idle_polls,
+                    r.admission_parks
                 ),
             )
         }

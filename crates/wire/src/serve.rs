@@ -180,6 +180,14 @@ pub struct ServeReport {
     pub send_drops: u64,
     /// Timer-wheel events fired.
     pub timer_events: u64,
+    /// Calls to [`ServeLoop::poll`] — the serve loop's wake-ups.
+    pub polls: u64,
+    /// Polls that found no work: no datagram received, no timer fired,
+    /// no batch flushed.
+    pub idle_polls: u64,
+    /// Times a flow blocked at [`ADMIT_HIGH_WATER`] joined a color's
+    /// admission wait list.
+    pub admission_parks: u64,
     /// Median timer-event lateness, microseconds.
     pub pacing_jitter_p50_us: f64,
     /// 99th-percentile timer-event lateness, microseconds — the bench
@@ -207,9 +215,14 @@ pub struct ServeFlow {
     pending: VecDeque<Pending>,
     tokens_bits: f64,
     last_pace: Option<SimTime>,
-    /// Whether a Pace event for this flow is already on the wheel (one
-    /// pacing chain per flow, re-armed by frame emission).
+    /// Whether this flow's pacing chain is live — a Pace event on the
+    /// wheel, or a park on an admission wait list (one chain per flow,
+    /// re-armed by frame emission).
     pace_armed: bool,
+    /// `(class, ticket)` of this flow's live wait-list entry while it is
+    /// parked on a full color queue. Wait-list entries that do not match
+    /// are stale and skipped.
+    parked: Option<(u8, u64)>,
 }
 
 impl ServeFlow {
@@ -224,6 +237,7 @@ impl ServeFlow {
             tokens_bits: 0.0,
             last_pace: None,
             pace_armed: false,
+            parked: None,
         }
     }
 
@@ -277,14 +291,6 @@ enum TimerEvent {
     Tick,
 }
 
-/// Longest a ready departure batch may wait for more packets before it is
-/// flushed anyway. Without a fill target the event loop flushes whatever
-/// trickled in since the last poll — measured batches of 2–3 datagrams,
-/// which re-inflates the per-datagram syscall cost batching exists to
-/// amortize. One wheel tick of extra queueing is already inside the pacing
-/// tolerance.
-const FLUSH_INTERVAL: SimDuration = SimDuration::from_millis(1);
-
 /// Default coalescing cap — the classic maximum UDP payload on Ethernet
 /// (1500-byte MTU − 20 IP − 8 UDP), which fits three 478-byte data packets
 /// per container at the default 400-byte payload. Loopback would tolerate
@@ -310,8 +316,10 @@ pub(crate) const RX_SLOT_BYTES: usize = 2048;
 /// encoded multi-megabyte queue contents that thrash the cache and, at
 /// the color cap, get dropped after paying for their encode. The backlog
 /// stays unencoded in each flow's pending list (where the frame watchdog
-/// can still abandon it) and admission retries next wheel tick. Sized at
-/// several polls' worth of drain so backpressure never starves the link.
+/// can still abandon it), and the blocked flow parks on that color's
+/// FIFO wait list with no timer armed. The drain that takes the color
+/// back below the mark wakes parked flows, oldest first. Sized at several
+/// polls' worth of drain so backpressure never starves the link.
 const ADMIT_HIGH_WATER: usize = 2048;
 
 /// Slots in the hashed wheel; at 1 ms granularity this is a ~2 s horizon,
@@ -341,6 +349,11 @@ impl TimerWheel {
 
     fn tick_of(&self, t: SimTime) -> u64 {
         t.as_nanos() / self.granularity_ns
+    }
+
+    /// The first tick edge strictly after `t`.
+    fn next_edge(&self, t: SimTime) -> SimTime {
+        SimTime::from_nanos((self.tick_of(t) + 1) * self.granularity_ns)
     }
 
     /// Schedules `ev` for `deadline` (past deadlines land in the current
@@ -529,10 +542,9 @@ pub struct ServeLoop<T: Transport> {
     tx_batch: Vec<Datagram>,
     /// Scratch for coalesced container datagrams, reused across flushes.
     agg_batch: Vec<Datagram>,
-    /// Deadline for flushing a part-full `tx_batch` (armed when the batch
-    /// goes non-empty; see [`FLUSH_INTERVAL`]).
-    flush_due: SimTime,
     fired: Vec<(SimTime, TimerEvent)>,
+    /// Per-color FIFO of `(flow, ticket)` parked at [`ADMIT_HIGH_WATER`].
+    admit_wait: [VecDeque<(FlowId, u64)>; 3],
     /// When the last Eq. 11 tick closed, for measured-window feedback.
     last_tick: Option<SimTime>,
     payload_pool: Vec<u8>,
@@ -551,6 +563,10 @@ pub struct ServeLoop<T: Transport> {
     abandoned_packets: u64,
     data_sent: u64,
     timer_events: u64,
+    polls: u64,
+    idle_polls: u64,
+    /// Also the ticket source: the n-th park gets ticket n.
+    admission_parks: u64,
 }
 
 impl<T: Transport> ServeLoop<T> {
@@ -571,8 +587,8 @@ impl<T: Transport> ServeLoop<T> {
             rx_ring,
             tx_batch: Vec::new(),
             agg_batch: Vec::new(),
-            flush_due: SimTime::ZERO,
             fired: Vec::new(),
+            admit_wait: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
             last_tick: None,
             payload_pool,
             frame_interval,
@@ -590,6 +606,9 @@ impl<T: Transport> ServeLoop<T> {
             abandoned_packets: 0,
             data_sent: 0,
             timer_events: 0,
+            polls: 0,
+            idle_polls: 0,
+            admission_parks: 0,
         }
     }
 
@@ -603,14 +622,40 @@ impl<T: Transport> ServeLoop<T> {
         self.flows.len()
     }
 
+    /// The instant `drive` sleeps until after a poll at `now`: the next
+    /// 1 ms wheel-tick edge, strictly after `now`. A part-full batch left
+    /// pending by that poll is flushed by the first poll of the next tick,
+    /// so the wake is never later than its flush.
+    ///
+    /// Sleeping that long costs no timer precision: the wheel fires an
+    /// event of slot `k` only once `now` reaches tick `k`, and a poll
+    /// fires every event already due, so no timer fires between two
+    /// edges. A datagram that lands meanwhile waits in the socket buffer
+    /// for the edge.
+    pub fn next_wake(&self, now: SimTime) -> SimTime {
+        self.wheel.next_edge(now)
+    }
+
     /// Advances the loop to `now`: drains the socket, fires due timers,
-    /// and pushes one departure batch. Returns whether any work was done
-    /// (idle callers can afford a short sleep).
+    /// pushes one departure batch, and wakes flows parked on color queues
+    /// the drain took below [`ADMIT_HIGH_WATER`]. Returns whether any work
+    /// was done: a datagram received, a timer fired, or a batch flushed
+    /// (polls without are counted as idle). Waking parked flows does not
+    /// count — it follows every drain.
     ///
     /// # Errors
     ///
     /// Propagates hard transport failures; datagram loss is not an error.
     pub fn poll(&mut self, now: SimTime) -> io::Result<bool> {
+        let work = self.poll_inner(now)?;
+        self.polls += 1;
+        if !work {
+            self.idle_polls += 1;
+        }
+        Ok(work)
+    }
+
+    fn poll_inner(&mut self, now: SimTime) -> io::Result<bool> {
         if !self.started {
             self.started = true;
             self.wheel.schedule(now + self.cfg.feedback_interval, TimerEvent::Tick);
@@ -645,6 +690,7 @@ impl<T: Transport> ServeLoop<T> {
             }
         }
         // Timers: frame emission, pacing, router ticks.
+        let prev_tick = self.wheel.cursor;
         let mut fired = std::mem::take(&mut self.fired);
         self.wheel.advance(now, &mut fired);
         for &(deadline, ev) in fired.iter() {
@@ -661,16 +707,18 @@ impl<T: Transport> ServeLoop<T> {
         fired.clear();
         self.fired = fired;
         // Departures: strict-priority drain, accumulated until the batch
-        // fills (or its flush deadline passes) so each send_batch call
-        // actually carries a batch worth amortizing a syscall over.
+        // fills or the first poll of a new wheel tick, so each send_batch
+        // call carries a batch worth amortizing a syscall over. Flushing
+        // whatever trickled in since the last poll measured batches of 2–3
+        // datagrams, which re-inflates the per-datagram cost batching
+        // exists to amortize. `drive` polls once per tick, so each of its
+        // polls sends one tick's drain at once; a faster caller's batch
+        // waits at most to the next edge.
         let mut batch = std::mem::take(&mut self.tx_batch);
-        let was_empty = batch.is_empty();
         self.router.drain(now, self.cfg.id, &self.flows, &mut batch);
-        if was_empty && !batch.is_empty() {
-            self.flush_due = now + FLUSH_INTERVAL;
-        }
+        self.wake_parked(now);
         let full = batch.len() >= self.cfg.batch_size.max(1);
-        if !batch.is_empty() && (full || now >= self.flush_due) {
+        if !batch.is_empty() && (full || self.wheel.cursor > prev_tick) {
             work = true;
             self.data_sent += batch.len() as u64;
             self.cfg.telemetry.counter_add(SERVE_TX, batch.len() as u64);
@@ -821,17 +869,44 @@ impl<T: Transport> ServeLoop<T> {
         if arm_pace {
             s.pace_armed = true;
         }
+        // The new frame replaced the packet the flow parked on, and its
+        // front may be a color below the mark. Without this re-check the
+        // flow waits for the old color's queue to drain, and its new
+        // frame's base layer starves behind it.
+        let recheck = s.parked.is_some();
         self.abandoned_packets += abandoned;
         self.frames_emitted += 1;
         self.wheel.schedule(now + self.frame_interval, TimerEvent::Frame(flow));
         if arm_pace {
             self.wheel.schedule(now, TimerEvent::Pace(flow));
+        } else if recheck {
+            self.on_pace(now, flow);
+        }
+    }
+
+    /// Wakes flows parked on each color's wait list, oldest first, while
+    /// that color is below [`ADMIT_HIGH_WATER`]. Entries whose flow was
+    /// evicted, re-registered, or has parked again since are skipped.
+    fn wake_parked(&mut self, now: SimTime) {
+        for class in 0..3u8 {
+            while self.router.queue_depth(class) < ADMIT_HIGH_WATER {
+                let Some((flow, ticket)) = self.admit_wait[class as usize].pop_front() else {
+                    break;
+                };
+                let Some(entry) = self.flows.get_mut(flow) else { continue };
+                if entry.state.parked != Some((class, ticket)) {
+                    continue;
+                }
+                entry.state.parked = None;
+                self.on_pace(now, flow);
+            }
         }
     }
 
     /// Pace deadline: refill the flow's token bucket and admit affordable
     /// packets into the shared router, then re-arm for the moment the next
-    /// packet's tokens mature.
+    /// packet's tokens mature — or, if the next packet's color queue is at
+    /// [`ADMIT_HIGH_WATER`], park the flow on that color's wait list.
     fn on_pace(&mut self, now: SimTime, flow: FlowId) {
         let Some(entry) = self.flows.get_mut(flow) else {
             return;
@@ -854,12 +929,14 @@ impl<T: Transport> ServeLoop<T> {
             None => s.tokens_bits = packet_bits,
         }
         s.last_pace = Some(now);
+        let mut blocked = None;
         while let Some(front) = s.pending.front() {
             let cost = f64::from(front.bytes) * 8.0;
             if s.tokens_bits < cost {
                 break;
             }
             if self.router.queue_depth(front.class) >= ADMIT_HIGH_WATER {
+                blocked = Some(front.class);
                 break;
             }
             let Some(p) = s.pending.pop_front() else { break };
@@ -880,6 +957,27 @@ impl<T: Transport> ServeLoop<T> {
             s.seq += 1;
             self.router.enqueue(flow, datagram, p.class, p.bytes);
         }
+        if let Some(class) = blocked {
+            // A flow already parked on this color keeps its place in line.
+            if s.parked.is_some_and(|(c, _)| c == class) {
+                return;
+            }
+            self.admission_parks += 1;
+            s.parked = Some((class, self.admission_parks));
+            let line = &mut self.admit_wait[class as usize];
+            line.push_back((flow, self.admission_parks));
+            // Re-parks on another color and per-frame re-checks leave
+            // stale entries behind; while a color stays full nothing pops
+            // them, so compact once they outnumber the live flows.
+            if line.len() > 2 * self.flows.len() + 64 {
+                let flows = &self.flows;
+                line.retain(|&(f, t)| {
+                    flows.get(f).is_some_and(|e| e.state.parked == Some((class, t)))
+                });
+            }
+            return;
+        }
+        s.parked = None;
         if let Some(front) = s.pending.front() {
             let deficit_bits = (f64::from(front.bytes) * 8.0 - s.tokens_bits).max(0.0);
             let wait = SimDuration::from_secs_f64(deficit_bits / rate.max(1.0));
@@ -938,6 +1036,9 @@ impl<T: Transport> ServeLoop<T> {
             unregistered_drops: self.router.unregistered_drops,
             send_drops: self.send_drops.as_ref().map_or(0, |d| d.load(Ordering::Relaxed)),
             timer_events: self.timer_events,
+            polls: self.polls,
+            idle_polls: self.idle_polls,
+            admission_parks: self.admission_parks,
             pacing_jitter_p50_us: self.jitter.quantile(0.50).unwrap_or(0.0) * 1e6,
             pacing_jitter_p99_us: self.jitter.quantile(0.99).unwrap_or(0.0) * 1e6,
         }
@@ -1000,12 +1101,13 @@ fn drive<T: Transport>(
         if should_stop() || (!duration.is_zero() && now >= SimTime::ZERO + duration) {
             break;
         }
-        let worked = lp.poll(now)?;
-        if !worked {
-            // Idle: nothing on the socket, no due timers. A short sleep
-            // keeps a co-located loadgen (1-core CI) schedulable without
-            // hurting the 1 ms wheel granularity much.
-            std::thread::sleep(std::time::Duration::from_micros(100));
+        lp.poll(now)?;
+        // Whether or not the poll found work, it drained the socket and
+        // fired every due timer; nothing else comes due before the next
+        // tick edge.
+        let left = lp.next_wake(now).duration_since(clock.now());
+        if !left.is_zero() {
+            std::thread::sleep(std::time::Duration::from_nanos(left.as_nanos()));
         }
         now = clock.now();
     }
@@ -1223,6 +1325,96 @@ mod tests {
             WireData::decode(d).unwrap();
         }
         assert_eq!(got.len() as u64, lp.data_sent);
+    }
+
+    #[test]
+    fn admission_blocked_flows_park_without_a_timer_storm() {
+        // 1 green + 2 yellow + 2 red packets per frame at the initial
+        // 128 kb/s, against a capacity just above the green load: the
+        // yellow and red queues fill to ADMIT_HIGH_WATER and stay there
+        // while green keeps draining.
+        const FLOWS: u32 = 200;
+        const END_MS: u64 = 3000;
+        let hub = MemHub::new();
+        let client = hub.endpoint(addr(2));
+        let mut cfg = serve_cfg();
+        cfg.trace = VideoTrace::constant(300, 10.0, 400, 10_000);
+        cfg.capacity = Rate::from_kbps(f64::from(FLOWS) * 32.0 * 1.1);
+        let ticks = END_MS * 1_000_000 / cfg.feedback_interval.as_nanos() + 1;
+        let frame_ms = cfg.trace.frame_interval_secs() * 1e3;
+        let mut lp = mem_loop(&hub, cfg);
+        let mut seq_at_last_frame = Vec::new();
+        let mut parked_off_green = Vec::new();
+        let mut yellow_full = false;
+        for ms in 0..=END_MS {
+            if ms % 200 == 0 {
+                for f in 1..=FLOWS {
+                    let hello = WireHello { flow: FlowId(f), seq: ms };
+                    client.send_to(&hello.encode(), addr(1)).unwrap();
+                }
+                drain(&client);
+            }
+            if ms == END_MS - frame_ms as u64 {
+                for f in 1..=FLOWS {
+                    let s = &lp.flows.get(FlowId(f)).expect("registered").state;
+                    seq_at_last_frame.push(s.seq);
+                    if s.parked.is_some_and(|(class, _)| class > 0) {
+                        parked_off_green.push(f);
+                    }
+                }
+            }
+            lp.poll(SimTime::from_nanos(ms * 1_000_000)).unwrap();
+            yellow_full |= lp.router.queue_depth(1) >= ADMIT_HIGH_WATER;
+        }
+        assert!(yellow_full, "the yellow queue never reached the mark");
+        let r = lp.report(SimTime::from_nanos(END_MS * 1_000_000));
+        assert!(
+            r.timer_events <= r.data_sent + r.frames_emitted + ticks,
+            "timer storm: {} events for {} packets, {} frames, {ticks} ticks",
+            r.timer_events,
+            r.data_sent,
+            r.frames_emitted
+        );
+        // Liveness: a flow parked behind a full yellow or red queue has its
+        // next frame start with green, and must admit it.
+        assert!(!parked_off_green.is_empty(), "no flow was parked off green");
+        for f in 1..=FLOWS {
+            let seq = lp.flows.get(FlowId(f)).unwrap().state.seq;
+            let before = seq_at_last_frame[(f - 1) as usize];
+            assert!(seq > before, "flow {f} admitted nothing in the last frame interval");
+        }
+    }
+
+    #[test]
+    fn next_wake_is_the_next_tick_edge_and_never_after_a_pending_flush() {
+        let hub = MemHub::new();
+        let client = hub.endpoint(addr(2));
+        let mut cfg = serve_cfg();
+        // 100 bits of router budget per ms: a departure matures at
+        // whatever poll crosses 3200 bits, mostly not a tick's first.
+        cfg.capacity = Rate::from_kbps(100.0);
+        let mut lp = mem_loop(&hub, cfg);
+        let ms = |n: u64| SimTime::from_nanos(n * 1_000_000);
+        // No batch pending: the next edge, strictly after `now`.
+        for (now, edge) in [(0, 1), (3_000_000, 4), (3_400_000, 4), (3_999_999, 4)] {
+            assert_eq!(lp.next_wake(SimTime::from_nanos(now)), ms(edge));
+        }
+        client.send_to(&WireHello { flow: FlowId(4), seq: 0 }.encode(), addr(1)).unwrap();
+        // Poll every 100 µs until a drain leaves a part-full batch pending.
+        let mut now = SimTime::ZERO;
+        while lp.tx_batch.is_empty() {
+            now += SimDuration::from_micros(100);
+            assert!(now < ms(1000), "no batch was ever left pending");
+            lp.poll(now).unwrap();
+        }
+        let wake = lp.next_wake(now);
+        assert_eq!(wake, ms(now.as_nanos() / 1_000_000 + 1), "after {now}");
+        // The batch waits out the tick and is flushed by the edge's poll.
+        lp.poll(wake - SimDuration::from_nanos(1)).unwrap();
+        assert!(!lp.tx_batch.is_empty(), "flushed before the edge");
+        lp.poll(wake).unwrap();
+        assert!(lp.tx_batch.is_empty(), "the edge poll did not flush");
+        assert!(!drain(&client).is_empty());
     }
 
     #[test]
