@@ -35,6 +35,30 @@ echo "== tests leave the tree as they found it =="
   git status --porcelain >&2
   exit 1; }
 
+echo "== checked-in results gate (bench binaries vs results/) =="
+# The fig*, table1, chaos and ablation_* binaries are deterministic: rerun
+# them into a scratch dir (~8 s) and require every file they write to be
+# byte-identical to its checked-in copy under results/. A change that moves
+# a result must regenerate the file in the same commit. ablation_rd_scaling
+# is left out: it panics on its own R-D bound at the 9 kB row before writing
+# anything (ROADMAP.md), so it has no output to compare.
+results_dir="$(mktemp -d -t pels_results_XXXXXX)"
+trap 'rm -rf "$results_dir"' EXIT
+for bin in crates/bench/src/bin/*.rs; do
+  name="$(basename "$bin" .rs)"
+  case "$name" in run_all|ablation_rd_scaling) continue ;; esac
+  PELS_RESULTS_DIR="$results_dir" timeout 120 "./target/release/$name" > /dev/null
+done
+[ -n "$(ls -A "$results_dir")" ] || { echo "bench binaries wrote no results" >&2; exit 1; }
+stale=0
+for f in "$results_dir"/*; do
+  cmp -s "$f" "results/$(basename "$f")" || {
+    echo "results/$(basename "$f") differs from what its binary writes" >&2; stale=1; }
+done
+[ "$stale" = 0 ] || exit 1
+echo "$(ls "$results_dir" | wc -l) result files match results/"
+rm -rf "$results_dir"
+
 echo "== pels live smoke (loopback UDP, 2 s) =="
 # Scratch results dir: the smoke must not clobber the checked-in 5 s
 # results/live.csv artifact (results/ is tracked in git).

@@ -33,6 +33,15 @@
 //! `RUN_BATCH` cache-hot entries) exactly when it must fire before the
 //! fence, and in the heap otherwise. Keys are unique, which makes the fence
 //! exact: total pop order is identical to a pure heap, bit for bit.
+//!
+//! # Reserved keys
+//!
+//! A key can be taken without queueing anything
+//! ([`EventQueue::reserve`]) and the event inserted under it later, or
+//! never ([`EventQueue::insert_reserved`]). Because the fence compares
+//! keys only, a late insert pops exactly where it would have popped had it
+//! been scheduled at reservation time. Ports use this to queue a
+//! transmit-complete only when a packet waits for it (DESIGN.md §15).
 
 use crate::faults::FaultAction;
 use crate::packet::{AgentId, Packet};
@@ -170,8 +179,13 @@ struct Entry {
 
 impl Entry {
     fn time(&self) -> SimTime {
-        SimTime::from_nanos((self.key >> 64) as u64)
+        key_time(self.key)
     }
+}
+
+/// The firing time packed into the high 64 bits of an ordering key.
+pub(crate) fn key_time(key: u128) -> SimTime {
+    SimTime::from_nanos((key >> 64) as u64)
 }
 
 impl Ord for Entry {
@@ -291,9 +305,26 @@ impl EventQueue {
 
     /// Schedules a compact event (the allocation-free hot path).
     pub(crate) fn schedule_ev(&mut self, time: SimTime, ev: Ev) {
+        let key = self.reserve(time);
+        self.insert_reserved(key, ev);
+    }
+
+    /// Reserves the ordering key of an event that would fire at `time`,
+    /// without queueing anything: the key takes the next sequence number,
+    /// exactly as scheduling the event now would. The caller may later
+    /// queue the event under it with [`EventQueue::insert_reserved`], or
+    /// never, in which case the key is simply skipped.
+    pub(crate) fn reserve(&mut self, time: SimTime) -> u128 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let entry = Entry { key: Self::key(time, seq), ev };
+        Self::key(time, seq)
+    }
+
+    /// Queues `ev` under a key from [`EventQueue::reserve`]. The key must
+    /// be unused and later than every key popped so far; it then pops in
+    /// exactly the position it would have had if scheduled at reservation.
+    pub(crate) fn insert_reserved(&mut self, key: u128, ev: Ev) {
+        let entry = Entry { key, ev };
         if !self.run.is_empty() && entry.key < self.run_ceiling {
             // Fires before the fence: sorted insert into the hot run.
             // Keys are unique so the position is unambiguous.
@@ -329,22 +360,19 @@ impl EventQueue {
         debug_assert!(self.heap.peek().is_none_or(|e| e.key >= self.run_ceiling));
     }
 
-    /// Removes and returns the earliest compact event, or `None` when empty.
-    pub(crate) fn pop_entry(&mut self) -> Option<(SimTime, Ev)> {
+    /// Removes and returns the earliest compact event with its ordering
+    /// key, or `None` when empty.
+    pub(crate) fn pop_entry(&mut self) -> Option<(u128, Ev)> {
         if self.run.is_empty() {
             self.refill();
         }
-        self.run.pop().map(|e| (e.time(), e.ev))
+        self.run.pop().map(|e| (e.key, e.ev))
     }
 
     /// Like [`EventQueue::pop_entry`], but only yields events at or before
     /// `end` (strictly before when `inclusive` is false). The bound check
     /// happens *before* removal, so rejected events stay queued.
-    pub(crate) fn pop_entry_before(
-        &mut self,
-        end: SimTime,
-        inclusive: bool,
-    ) -> Option<(SimTime, Ev)> {
+    pub(crate) fn pop_entry_before(&mut self, end: SimTime, inclusive: bool) -> Option<(u128, Ev)> {
         if self.run.is_empty() {
             self.refill();
         }
@@ -354,14 +382,15 @@ impl EventQueue {
             u128::from(end.as_nanos()) << 64
         };
         match self.run.last() {
-            Some(e) if e.key < fence => self.run.pop().map(|e| (e.time(), e.ev)),
+            Some(e) if e.key < fence => self.run.pop().map(|e| (e.key, e.ev)),
             _ => None,
         }
     }
 
     /// Removes and returns the earliest event, or `None` when empty.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        let (time, ev) = self.pop_entry()?;
+        let (key, ev) = self.pop_entry()?;
+        let time = key_time(key);
         let event = match ev {
             Ev::Arrival { dst, slot } => {
                 Event::PacketArrival { dst, packet: self.take_packet(slot) }

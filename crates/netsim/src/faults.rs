@@ -5,9 +5,8 @@
 //! installed into a [`crate::sim::Simulator`] *before or during* a run;
 //! each entry becomes an [`crate::event::Event::Fault`] in the ordinary
 //! event queue, so faults interleave with traffic in the same deterministic
-//! `(time, seq)` order as every other event and are recorded by the journal.
-//! A run with a fault schedule is still a pure function of (topology, seed,
-//! schedule).
+//! `(time, seq)` order as every other event. A run with a fault schedule
+//! is still a pure function of (topology, seed, schedule).
 //!
 //! Two kinds of action exist:
 //!
@@ -37,7 +36,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Target id used for simulator-global fault actions; never dispatched to an
-/// agent, so any value works — this one makes intent obvious in journals.
+/// agent, so any value works — this one makes intent obvious in schedules.
 pub const GLOBAL: AgentId = AgentId(u32::MAX);
 
 /// Probabilistic mangling applied to arriving control packets (ACK/NACK)
@@ -268,12 +267,12 @@ pub fn apply_port_fault(ports: &mut [Port], action: &FaultAction, ctx: &mut Cont
     match *action {
         FaultAction::LinkDown { port } => {
             if let Some(p) = ports.get_mut(port) {
-                p.set_link_up(false);
+                p.set_link_up(false, ctx);
             }
         }
         FaultAction::LinkUp { port } => {
             if let Some(p) = ports.get_mut(port) {
-                p.set_link_up(true);
+                p.set_link_up(true, ctx);
                 p.restart(ctx);
             }
         }

@@ -76,7 +76,6 @@ pub mod event;
 pub mod fasthash;
 pub mod faults;
 pub mod hist;
-pub mod journal;
 pub mod packet;
 pub mod port;
 pub mod rem;

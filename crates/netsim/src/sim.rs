@@ -8,9 +8,8 @@
 //! unsafe, fully deterministic.
 
 use crate::error::SimError;
-use crate::event::{Ev, Event, EventQueue, PacketSlot};
+use crate::event::{key_time, Ev, Event, EventQueue, PacketSlot};
 use crate::faults::{ControlFaultPolicy, FaultAction, FaultSchedule, FaultStats};
-use crate::journal::Journal;
 use crate::packet::{AgentId, Packet, PacketId, PacketKind};
 use crate::shard::{CrossEvent, ShardMap};
 use crate::time::{SimDuration, SimTime};
@@ -76,6 +75,10 @@ pub struct Context<'a> {
     pub now: SimTime,
     /// Id of the agent being dispatched.
     pub self_id: AgentId,
+    /// Queue key of the event being dispatched (`0` during
+    /// [`Agent::start`]). Ports compare it with the key reserved for their
+    /// transmit-complete to tell whether that completion has passed.
+    pub(crate) key: u128,
     queue: &'a mut EventQueue,
     rng: &'a mut StdRng,
     next_packet_id: &'a mut u64,
@@ -168,11 +171,21 @@ impl Context<'_> {
         self.queue.schedule_ev(at, Ev::Arrival { dst, slot });
     }
 
-    /// Schedules a transmit-complete callback for port `port` of the current
-    /// agent, `delay` from now. Used by [`crate::port::Port`].
-    pub fn schedule_tx_complete(&mut self, port: usize, delay: SimDuration) {
+    /// Reserves the queue key of a transmit-complete `delay` from now
+    /// without queueing it. Used by [`crate::port::Port`], which queues the
+    /// event with [`Context::schedule_reserved_tx_complete`] only if a
+    /// packet will be waiting for it.
+    pub(crate) fn reserve_tx_complete(&mut self, delay: SimDuration) -> u128 {
+        self.queue.reserve(self.now + delay)
+    }
+
+    /// Queues the transmit-complete of port `port` of the current agent
+    /// under `key`, a key from [`Context::reserve_tx_complete`] that has
+    /// not passed yet.
+    pub(crate) fn schedule_reserved_tx_complete(&mut self, port: usize, key: u128) {
+        debug_assert!(key > self.key, "a reserved completion must still be ahead");
         let port = u32::try_from(port).expect("port index overflow");
-        self.queue.schedule_ev(self.now + delay, Ev::Tx { agent: self.self_id, port });
+        self.queue.insert_reserved(key, Ev::Tx { agent: self.self_id, port });
     }
 
     /// Allocates a fresh globally-unique packet id.
@@ -226,7 +239,6 @@ pub struct Simulator {
     started: bool,
     events_processed: u64,
     peak_queue_depth: usize,
-    journal: Option<Journal>,
     control_policy: Option<ControlFaultPolicy>,
     fault_stats: FaultStats,
     shard: Option<ShardState>,
@@ -250,7 +262,6 @@ impl Simulator {
             started: false,
             events_processed: 0,
             peak_queue_depth: 0,
-            journal: None,
             control_policy: None,
             fault_stats: FaultStats::default(),
             shard: None,
@@ -283,18 +294,6 @@ impl Simulator {
         self.agents.push(Some(agent));
     }
 
-    /// Enables the event journal, keeping the most recent `capacity`
-    /// dispatches. Call before (or during) a run; recording starts
-    /// immediately.
-    pub fn enable_journal(&mut self, capacity: usize) {
-        self.journal = Some(Journal::new(capacity));
-    }
-
-    /// The event journal, if enabled.
-    pub fn journal(&self) -> Option<&Journal> {
-        self.journal.as_ref()
-    }
-
     /// Registers an agent and returns its id.
     ///
     /// # Panics
@@ -316,9 +315,9 @@ impl Simulator {
     }
 
     /// Schedules every fault in `schedule` into the event queue. Faults are
-    /// ordinary events: they interleave deterministically with traffic and
-    /// appear in the journal. Install before simulated time reaches the
-    /// earliest fault (normally before the run starts).
+    /// ordinary events: they interleave deterministically with traffic.
+    /// Install before simulated time reaches the earliest fault (normally
+    /// before the run starts).
     ///
     /// # Panics
     ///
@@ -462,6 +461,7 @@ impl Simulator {
             let mut ctx = Context {
                 now: self.now,
                 self_id,
+                key: 0,
                 queue: &mut self.queue,
                 rng: &mut self.rng,
                 next_packet_id: &mut self.next_packet_id,
@@ -489,9 +489,10 @@ impl Simulator {
             None => self.queue.pop_entry(),
             Some((end, inclusive)) => self.queue.pop_entry_before(end, inclusive),
         };
-        let Some((time, ev)) = popped else {
+        let Some((key, ev)) = popped else {
             return false;
         };
+        let time = key_time(key);
         debug_assert!(time >= self.now, "time must be monotone");
         self.now = time;
         self.events_processed += 1;
@@ -500,19 +501,6 @@ impl Simulator {
         self.peak_queue_depth = self.peak_queue_depth.max(self.queue.len() + 1);
         match ev {
             Ev::Arrival { dst, slot } => {
-                if let Some(journal) = self.journal.as_mut() {
-                    let p = self.queue.packet(slot);
-                    journal.record_kind(
-                        time,
-                        dst,
-                        crate::journal::EntryKind::PacketArrival {
-                            id: p.id,
-                            flow: p.flow,
-                            class: p.class,
-                            bytes: p.size_bytes,
-                        },
-                    );
-                }
                 // Control-plane fault policy: arriving ACK/NACK packets may
                 // be dropped, duplicated, or delayed. One uniform draw per
                 // arrival keeps the run deterministic. Re-injected copies
@@ -547,29 +535,16 @@ impl Simulator {
                     }
                 }
                 let packet = self.queue.take_packet(slot);
-                self.dispatch(dst, |agent, ctx| agent.on_packet(packet, ctx));
+                self.dispatch(dst, key, |agent, ctx| agent.on_packet(packet, ctx));
             }
             Ev::Tx { agent, port } => {
-                if let Some(journal) = self.journal.as_mut() {
-                    journal.record_kind(
-                        time,
-                        agent,
-                        crate::journal::EntryKind::TxComplete { port: port as usize },
-                    );
-                }
-                self.dispatch(agent, |a, ctx| a.on_tx_complete(port as usize, ctx));
+                self.dispatch(agent, key, |a, ctx| a.on_tx_complete(port as usize, ctx));
             }
             Ev::Timer { agent, token } => {
-                if let Some(journal) = self.journal.as_mut() {
-                    journal.record_kind(time, agent, crate::journal::EntryKind::Timer { token });
-                }
-                self.dispatch(agent, |a, ctx| a.on_timer(token, ctx));
+                self.dispatch(agent, key, |a, ctx| a.on_timer(token, ctx));
             }
             Ev::Fault { agent, idx } => {
                 let action = self.queue.take_fault(idx);
-                if let Some(journal) = self.journal.as_mut() {
-                    journal.record_kind(time, agent, crate::journal::EntryKind::Fault { action });
-                }
                 // Global fault actions are absorbed by the simulator itself;
                 // agent-targeted ones fall through to normal dispatch.
                 self.fault_stats.faults_applied += 1;
@@ -587,15 +562,20 @@ impl Simulator {
                     }
                     _ => {}
                 }
-                self.dispatch(agent, |a, ctx| a.on_fault(&action, ctx));
+                self.dispatch(agent, key, |a, ctx| a.on_fault(&action, ctx));
             }
         }
         true
     }
 
     /// Moves the target agent out of the slab and invokes `f` with a fresh
-    /// dispatch context.
-    fn dispatch(&mut self, target: AgentId, f: impl FnOnce(&mut dyn Agent, &mut Context<'_>)) {
+    /// dispatch context for the event popped under `key`.
+    fn dispatch(
+        &mut self,
+        target: AgentId,
+        key: u128,
+        f: impl FnOnce(&mut dyn Agent, &mut Context<'_>),
+    ) {
         let idx = self
             .local_slot(target)
             .unwrap_or_else(|e| panic!("event addressed to foreign agent: {e}"));
@@ -605,6 +585,7 @@ impl Simulator {
         let mut ctx = Context {
             now: self.now,
             self_id: target,
+            key,
             queue: &mut self.queue,
             rng: &mut self.rng,
             next_packet_id: &mut self.next_packet_id,
@@ -816,7 +797,6 @@ mod fault_tests {
     use super::*;
     use crate::disc::{DropTail, QueueLimit};
     use crate::faults::{apply_port_fault, GLOBAL};
-    use crate::journal::EntryKind;
     use crate::packet::FlowId;
     use crate::port::Port;
     use crate::time::Rate;
@@ -937,7 +917,7 @@ mod fault_tests {
     }
 
     #[test]
-    fn control_policy_drops_acks_and_is_journaled() {
+    fn control_policy_drops_acks_and_counts_its_faults() {
         // Echo pair: A sends data, B acks; a full-drop policy starves A.
         struct EchoPeer {
             peer: Option<AgentId>,
@@ -969,7 +949,6 @@ mod fault_tests {
         }
 
         let mut sim = Simulator::new(1);
-        sim.enable_journal(64);
         let b = AgentId(1);
         let a = sim.add_agent(Box::new(EchoPeer { peer: Some(b), acks: 0 }));
         sim.add_agent(Box::new(EchoPeer { peer: None, acks: 0 }));
@@ -985,11 +964,8 @@ mod fault_tests {
         assert_eq!(sim.agent::<EchoPeer>(a).acks, 0, "every ACK dropped");
         assert_eq!(sim.fault_stats().control_dropped, 1);
         assert!(sim.control_policy().is_none(), "window cleared the policy");
-        let journal = sim.journal().expect("enabled");
-        let faults_recorded =
-            journal.iter().filter(|e| matches!(e.kind, EntryKind::Fault { .. })).count();
-        assert_eq!(faults_recorded, 2);
-        assert_eq!(journal.iter().next().unwrap().target, GLOBAL);
+        // The window's set and clear policy faults both fired.
+        assert_eq!(sim.fault_stats().faults_applied, 2);
     }
 
     #[test]
@@ -1066,65 +1042,5 @@ mod fault_tests {
             sim.try_add_agent(Box::new(Sink { arrivals: vec![] })),
             Err(SimError::SimulationStarted)
         ));
-    }
-}
-
-#[cfg(test)]
-mod journal_tests {
-    use super::*;
-    use crate::journal::EntryKind;
-    use crate::packet::{FlowId, PacketKind};
-    use crate::time::SimDuration;
-    use std::any::Any;
-
-    struct Ping {
-        peer: Option<AgentId>,
-    }
-    impl Agent for Ping {
-        fn start(&mut self, ctx: &mut Context<'_>) {
-            if let Some(peer) = self.peer {
-                let pkt =
-                    Packet::data(FlowId(3), ctx.self_id, peer, 500).with_id(ctx.alloc_packet_id());
-                ctx.deliver(peer, SimDuration::from_millis(1), pkt);
-                ctx.schedule_timer(SimDuration::from_millis(2), 9);
-            }
-        }
-        fn on_packet(&mut self, p: Packet, ctx: &mut Context<'_>) {
-            if p.kind == PacketKind::Data {
-                let ack = Packet::ack_for(&p, 40).with_id(ctx.alloc_packet_id());
-                ctx.deliver(ack.dst, SimDuration::from_millis(1), ack);
-            }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
-    }
-
-    #[test]
-    fn journal_records_all_dispatches() {
-        let mut sim = Simulator::new(1);
-        sim.enable_journal(100);
-        let b = AgentId(1);
-        sim.add_agent(Box::new(Ping { peer: Some(b) }));
-        sim.add_agent(Box::new(Ping { peer: None }));
-        sim.run_until(SimTime::from_secs_f64(1.0));
-
-        let j = sim.journal().expect("enabled");
-        // data arrival + ack arrival + timer = 3 events.
-        assert_eq!(j.total_recorded, sim.events_processed());
-        assert_eq!(j.len(), 3);
-        let kinds: Vec<bool> =
-            j.iter().map(|e| matches!(e.kind, EntryKind::PacketArrival { .. })).collect();
-        assert_eq!(kinds.iter().filter(|&&k| k).count(), 2);
-        assert_eq!(j.for_flow(FlowId(3)).len(), 2);
-    }
-
-    #[test]
-    fn journal_disabled_by_default() {
-        let sim = Simulator::new(1);
-        assert!(sim.journal().is_none());
     }
 }

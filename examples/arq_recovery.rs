@@ -1,12 +1,10 @@
-//! Retransmission-based recovery vs PELS, plus the simulator's event
-//! journal in action.
+//! Retransmission-based recovery vs PELS.
 //!
 //! The paper argues (Section 1) that retransmission is the wrong tool for
 //! congested video paths: recoveries ride the same congested queues and
 //! miss their decoding deadlines. This example runs an ARQ comparator over
-//! a FIFO bottleneck with a playout deadline, prints the recovery ledger,
-//! and uses the event journal to show one packet's journey through the
-//! network.
+//! a FIFO bottleneck with a playout deadline and prints the recovery
+//! ledger.
 //!
 //! Run with: `cargo run --release --example arq_recovery`
 
@@ -14,7 +12,6 @@ use pels_core::receiver::NackConfig;
 use pels_core::router::QueueMode;
 use pels_core::scenario::{wideband_config, Scenario};
 use pels_core::source::{ArqConfig, SourceMode};
-use pels_netsim::journal::EntryKind;
 use pels_netsim::time::{SimDuration, SimTime};
 
 fn main() {
@@ -30,8 +27,6 @@ fn main() {
     cfg.playout_deadline = Some(SimDuration::from_millis(300));
 
     let mut s = Scenario::build(cfg);
-    // Enable the journal for a window of the run (ring of 50k events).
-    s.sim.enable_journal(50_000);
     s.run_until(SimTime::from_secs_f64(20.0));
 
     println!("=== ARQ recovery over a congested FIFO (300 ms playout deadline) ===\n");
@@ -52,24 +47,6 @@ fn main() {
     let u = s.total_utility();
     println!("utility with recovery: {:.3}", u.utility());
     assert!(retx > 0 && on_time > 0);
-
-    // The journal: reconstruct the journey of a recently delivered packet.
-    let journal = s.sim.journal().expect("journal enabled");
-    println!("\njournal: {} events retained of {} recorded", journal.len(), journal.total_recorded);
-    let last_arrival = journal
-        .iter()
-        .rev()
-        .find_map(|e| match e.kind {
-            EntryKind::PacketArrival { id, .. } if e.target == s.receivers[0] => Some(id),
-            _ => None,
-        })
-        .expect("receiver 0 saw traffic");
-    println!("journey of packet {last_arrival:?}:");
-    for hop in journal.packet_journey(last_arrival) {
-        println!("  t={} -> {}", hop.time, hop.target);
-    }
-    let journey = journal.packet_journey(last_arrival);
-    assert!(journey.len() >= 3, "source -> R1 -> R2 -> receiver hops");
 
     println!(
         "\ncompare: `cargo run -p pels-bench --bin ablation_retransmission` shows the\n\

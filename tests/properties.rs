@@ -276,3 +276,233 @@ proptest! {
         prop_assert_eq!(queued, 0, "queue must drain after the final link-up");
     }
 }
+
+/// Harness for the on-demand completion property: a scripted sender
+/// feeding one DropTail port into a recording sink. The sender transmits
+/// either through a real [`Port`], which queues a transmit-complete only
+/// when a packet waits behind the one on the wire, or through a reference
+/// serializer that queues a completion (as a timer) for every packet it
+/// transmits.
+mod completion_harness {
+    use pels_netsim::disc::{Discipline, DropTail, QEntry, QueueLimit};
+    use pels_netsim::port::Port;
+    use pels_netsim::sim::{Agent, Context};
+    use pels_netsim::time::{Rate, SimDuration, SimTime};
+    use pels_netsim::{AgentId, FlowId, Packet, PacketId};
+    use std::any::Any;
+
+    /// One scripted send: `gap_ns` after the previous one, `size` bytes.
+    /// With `next_first`, the following send's timer is scheduled before
+    /// this packet reaches the port, so at equal instants that send orders
+    /// before this packet's completion; otherwise after it.
+    #[derive(Debug, Clone, Copy)]
+    pub struct Send {
+        pub gap_ns: u64,
+        pub size: u32,
+        pub next_first: bool,
+    }
+
+    /// A port with the semantics of one that queues every completion.
+    pub struct Reference {
+        rate: Rate,
+        delay: SimDuration,
+        disc: DropTail,
+        busy: bool,
+        dropped: u64,
+        scratch: Vec<QEntry>,
+    }
+
+    pub enum Link {
+        Port(Port),
+        Reference(Reference),
+    }
+
+    impl Link {
+        pub fn new(reference: bool, rate: Rate, delay: SimDuration, limit: usize) -> Self {
+            let disc = DropTail::new(QueueLimit::Packets(limit));
+            if reference {
+                Link::Reference(Reference {
+                    rate,
+                    delay,
+                    disc,
+                    busy: false,
+                    dropped: 0,
+                    scratch: Vec::new(),
+                })
+            } else {
+                Link::Port(Port::new(0, AgentId(1), rate, delay, Box::new(disc)))
+            }
+        }
+
+        pub fn dropped(&self) -> u64 {
+            match self {
+                Link::Port(p) => p.stats.dropped_packets,
+                Link::Reference(r) => r.dropped,
+            }
+        }
+    }
+
+    const SEND: u64 = 0;
+    const COMPLETE: u64 = 1;
+
+    impl Reference {
+        fn send(&mut self, pkt: Packet, ctx: &mut Context<'_>) {
+            let size = pkt.size_bytes;
+            let entry = QEntry::new(ctx.stash(pkt), size, 0);
+            if self.busy {
+                self.disc.enqueue(entry, ctx.now, &mut self.scratch);
+                for d in self.scratch.drain(..) {
+                    self.dropped += 1;
+                    ctx.release(d.slot);
+                }
+            } else {
+                self.begin_tx(entry, ctx);
+            }
+        }
+
+        fn begin_tx(&mut self, entry: QEntry, ctx: &mut Context<'_>) {
+            let tx = self.rate.tx_time(entry.size_bytes);
+            self.busy = true;
+            ctx.schedule_timer(tx, COMPLETE);
+            ctx.deliver_slot(AgentId(1), tx + self.delay, entry.slot);
+        }
+
+        fn on_complete(&mut self, ctx: &mut Context<'_>) {
+            self.busy = false;
+            if let Some(next) = self.disc.dequeue(ctx.now) {
+                self.begin_tx(next, ctx);
+            }
+        }
+    }
+
+    pub struct Sender {
+        pub link: Link,
+        script: Vec<Send>,
+        next: usize,
+        pub completions: u64,
+    }
+
+    impl Sender {
+        pub fn new(link: Link, script: Vec<Send>) -> Self {
+            Sender { link, script, next: 0, completions: 0 }
+        }
+
+        fn schedule_next(&self, ctx: &mut Context<'_>) {
+            if let Some(step) = self.script.get(self.next) {
+                ctx.schedule_timer(SimDuration::from_nanos(step.gap_ns), SEND);
+            }
+        }
+    }
+
+    impl Agent for Sender {
+        fn start(&mut self, ctx: &mut Context<'_>) {
+            self.schedule_next(ctx);
+        }
+        fn on_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
+            if token == COMPLETE {
+                self.completions += 1;
+                if let Link::Reference(r) = &mut self.link {
+                    r.on_complete(ctx);
+                }
+                return;
+            }
+            let step = self.script[self.next];
+            self.next += 1;
+            if step.next_first {
+                self.schedule_next(ctx);
+            }
+            let pkt = Packet::data(FlowId(0), ctx.self_id, AgentId(1), step.size)
+                .with_id(ctx.alloc_packet_id());
+            match &mut self.link {
+                Link::Port(p) => {
+                    p.send(pkt, ctx);
+                }
+                Link::Reference(r) => r.send(pkt, ctx),
+            }
+            if !step.next_first {
+                self.schedule_next(ctx);
+            }
+        }
+        fn on_packet(&mut self, _p: Packet, _ctx: &mut Context<'_>) {}
+        fn on_tx_complete(&mut self, _port: usize, ctx: &mut Context<'_>) {
+            self.completions += 1;
+            if let Link::Port(p) = &mut self.link {
+                p.on_tx_complete(ctx);
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// Records `(arrival time, packet id)` of every delivery.
+    pub struct Recorder {
+        pub got: Vec<(SimTime, PacketId)>,
+    }
+
+    impl Agent for Recorder {
+        fn on_packet(&mut self, p: Packet, ctx: &mut Context<'_>) {
+            self.got.push((ctx.now, p.id));
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
+
+    /// A port that queues a transmit-complete only when a packet waits for
+    /// it delivers exactly what a port that queues every completion does:
+    /// the same `(time, packet id)` sequence and the same drops, for any
+    /// send times, sizes, link rate, delay and queue limit. Gaps and
+    /// transmit times are multiples of 125 µs, so sends often land on a
+    /// completion's instant, in both orders.
+    #[test]
+    fn on_demand_completions_deliver_like_always_queued_ones(
+        script in proptest::collection::vec((0u64..12, 0usize..4, any::<bool>()), 1..80),
+        rate in 0usize..4,
+        delay_ms in 0u64..3,
+        limit in 0usize..5,
+    ) {
+        use completion_harness::{Link, Recorder, Send, Sender};
+        use pels_netsim::{AgentId, Rate, Simulator};
+
+        let script: Vec<Send> = script
+            .into_iter()
+            .map(|(gap, size, next_first)| Send {
+                gap_ns: gap * 125_000,
+                size: [125, 250, 500, 1000][size],
+                next_first,
+            })
+            .collect();
+        let run = |reference: bool| {
+            let mut sim = Simulator::new(1);
+            let link = Link::new(
+                reference,
+                Rate::from_mbps([1.0, 2.0, 4.0, 8.0][rate]),
+                SimDuration::from_millis(delay_ms),
+                limit,
+            );
+            sim.add_agent(Box::new(Sender::new(link, script.clone())));
+            sim.add_agent(Box::new(Recorder { got: vec![] }));
+            sim.run_until(SimTime::from_secs_f64(1.0));
+            let sender = sim.agent::<Sender>(AgentId(0));
+            let got = sim.agent::<Recorder>(AgentId(1)).got.clone();
+            (got, sender.link.dropped(), sender.completions)
+        };
+        let (got, dropped, completions) = run(false);
+        let (want, want_dropped, all_completions) = run(true);
+        prop_assert_eq!(got.len() as u64 + dropped, script.len() as u64);
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(dropped, want_dropped);
+        prop_assert!(completions <= all_completions);
+    }
+}
